@@ -3,7 +3,8 @@
 A from-scratch reimplementation of the query/data-processing capabilities of
 the reference `owen800q/oar-ocr` (Rust + ONNX Runtime OCR engine), expressed
 as `ray.data.Dataset` pipelines: `map_batches` over zero-copy Arrow batches,
-actor pools for stateful model stages, explicit `groupby`/`sort`/partitioning
+model stages as stateless tasks with a per-worker cached stage instance
+(actor pools on request), explicit `groupby`/`sort`/partitioning
 for the wide steps, over tables of interleaved text + media documents.
 
 Layout:
@@ -17,7 +18,7 @@ Layout:
   stages/    — Ray Data stage implementations (explode, media, text, reassemble)
   pipelines/ — end-to-end pipelines (flagship extraction w/ resume)
   functions/ — text analysis, dedup, ANN, window aggregates
-  state/     — checkpoint manifests for resumable runs
+  state/     — checkpoint manifests and the sharded commit loop
 """
 
 __version__ = "0.1.0"

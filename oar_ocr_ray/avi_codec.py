@@ -1,6 +1,6 @@
 """Pure-python MJPEG-in-AVI container codec (RIFF, no external libs).
 
-A real video-container path for the FrameSampler stage: AVI is a plain
+A real video-container codec: AVI is a plain
 RIFF structure (public Microsoft 'AVI RIFF File Reference') and Motion
 JPEG stores each frame as an independent baseline JPEG — which our own
 jpeg_codec encodes and decodes. Together they make video frame-sampling
@@ -8,9 +8,8 @@ a genuinely decodable modality in this container; compressed codecs
 (H.264 etc., any non-'MJPG' biCompression) still raise
 NotImplementedError.
 
-Reference analogue: the multimodal payload boundary of
-/root/reference/src/utils/image.rs:65 (bytes -> raster) extended to the
-frame-sampled video contract of stages/multimodal.FrameSampler.
+Reference analogue: the payload boundary of src/utils/image.rs:65
+(bytes -> raster) extended to video frames. No pipeline reads video.
 
 Layout written: RIFF('AVI ') { LIST('hdrl'){ avih, LIST('strl'){ strh,
 strf } }, LIST('movi'){ '00dc'... }, 'idx1' }. The decoder also accepts

@@ -1,8 +1,7 @@
 """Pure-python FLAC codec (RFC 9639 / the public FLAC format spec).
 
-Unstubs the compressed-audio gate the same way webp_codec unstubbed
-images: FLAC is lossless, so the decode is exact and verifiable against
-the STREAMINFO MD5 of the raw samples.
+FLAC is lossless, so the decode is exact and verifiable against the
+STREAMINFO MD5 of the raw samples.
 
 Decoder: full subset needed for real 8/16/24-bit files — constant / verbatim /
 fixed(0-4) / LPC subframes, rice + rice2 residual methods with arbitrary
@@ -17,8 +16,7 @@ partition rice residuals, independent channels, correct CRCs and MD5.
 Decoder-only paths (LPC, mid/side, multi-partition rice, wasted bits)
 are exercised by hand-assembled streams in tests/test_flac_codec.py.
 
-Reference analogue: the audio modality decode boundary of
-stages/multimodal.AudioFeatures (wav_codec's compressed-format gate).
+No pipeline reads audio; the codec is exercised only by its tests.
 """
 
 from __future__ import annotations

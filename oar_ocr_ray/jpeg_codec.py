@@ -1,12 +1,11 @@
 """Minimal pure-numpy baseline JPEG codec (grayscale + color JFIF).
 
-Companion to `png_codec.py`: the container has no imaging library, so the
-jpeg leg of `stages/multimodal._decode_any` was a declared stub. This
-module implements the ITU-T.81 baseline sequential process for the
-single-component (grayscale) case from the public spec — enough to close
-that gap honestly: Annex K standard Huffman tables, libjpeg's
-quality→quant scaling, DCT-II via an orthonormal matrix product, byte
-stuffing, DC prediction, run-length AC coding.
+Companion to `png_codec.py` for environments without an imaging library.
+This module implements the ITU-T.81 baseline sequential process for the
+single-component (grayscale) case from the public spec: Annex K
+standard Huffman tables, libjpeg's quality→quant scaling, DCT-II via an
+orthonormal matrix product, byte stuffing, DC prediction, run-length AC
+coding.
 
 Scope (documented, verified in tests/test_jpeg_codec.py):
   - encode: 8-bit grayscale, and RGB color via JFIF full-range BT.601
@@ -21,8 +20,8 @@ Scope (documented, verified in tests/test_jpeg_codec.py):
     nearest-neighbor chroma upsampling. 12-bit / arithmetic / lossless
     / hierarchical modes raise NotImplementedError.
 
-JPEG is lossy: the pipeline's pixel-text fixture contract stays on PNG;
-this codec serves the multimodal decode surface (thumbnails, features).
+JPEG is lossy: the pipeline's pixel-text fixture contract stays on PNG,
+and no pipeline reads JPEG; the codec is exercised only by its tests.
 """
 
 from __future__ import annotations

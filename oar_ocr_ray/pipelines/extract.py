@@ -7,10 +7,13 @@ interleaved text+media `documents` table:
   read_parquet(documents)                      # columns pruned at the read
     -> map_batches(explode_spans)              # doc -> span rows (+anchors), Arrow-vectorized
     -> map_batches(strip_text_spans)           # text path: vectorized boilerplate strip
-    -> map_batches(MediaDetect,  actors)       # media path: decode+orient+detect+crop fan-out
-    -> map_batches(Recognize,    actors)       # wh-sorted batched recognition + real CTC decode
+    -> map_batches(MediaDetect,  tasks)        # media path: decode+orient+detect+crop fan-out
+    -> map_batches(Recognize,    tasks)        # wh-sorted batched recognition + real CTC decode
     -> groupby(part).map_groups(rebuild)       # THE shuffle: exact sequence reconstruction
     -> write_parquet(shard dir)                # committed per shard via manifest
+
+The model stages run as stateless tasks by default; stage_mode="actors"
+runs them as actor pools instead.
 
 Scale properties: decoded pixels never enter the shuffle (crops are dropped
 before the groupby); media payloads are point-lookups against the bucketed
@@ -22,8 +25,6 @@ explode-to-crop-rows fan-out. Never materializes the dataset.
 from __future__ import annotations
 
 import os
-import shutil
-import time
 
 import ray.data
 
@@ -31,6 +32,7 @@ from ..stages.explode import make_explode_spans
 from ..stages.media import MediaDetect, Recognize
 from ..stages.reassemble import rebuild_partition
 from ..stages.text import strip_text_spans
+from ..state.checkpoint import read_output, run_sharded  # read_output: re-exported
 
 
 def build_extract_pipeline(
@@ -58,7 +60,7 @@ def build_extract_pipeline(
     when state is heavyweight (real ONNX sessions); concurrency knobs apply.
     """
     from ..sources import read_documents
-    from ..stages.media import SharedMediaStore, cached_stage
+    from ..stages.media import cached_stage
 
     media_refs = _media_refs_for(media_dir)
     # the Lance substitution seam: parquet in this env, read_lance (or an
@@ -207,96 +209,17 @@ def run_extract(
     **pipeline_kwargs,
 ) -> dict:
     """Sharded, resumable run: each shard = a group of input files processed
-    by one streaming pipeline, committed atomically (tmp dir -> rename ->
-    manifest append). Re-running skips committed shards. `max_shards` limits
-    how many incomplete shards to process (used to test kill/resume)."""
-    from ..state.checkpoint import ShardManifest
-
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = ShardManifest(out_dir)
-    done = manifest.completed()
-
+    by one streaming pipeline, committed by state.checkpoint.run_sharded.
+    Re-running skips committed shards. `max_shards` limits how many
+    incomplete shards to process (used to test kill/resume)."""
     n_shards = min(n_shards, len(doc_files))
     shards = [sorted(doc_files)[i::n_shards] for i in range(n_shards)]
-    # Resume safety: the manifest keys on shard_id, which only identifies the
-    # same inputs if the file list and shard count are unchanged. A resumed
-    # run with different --shards/--docs would silently skip or re-process
-    # inputs — fail loudly instead.
-    for sid, rec in done.items():
-        if sid >= len(shards):
-            raise RuntimeError(
-                f"resume mismatch: committed shard {sid} exceeds this run's "
-                f"shard count {len(shards)} — its output would silently ride "
-                "along in the result set; re-run with the original "
-                "--docs/--shards or use a fresh --out"
-            )
-        if rec.get("inputs") != shards[sid]:
-            raise RuntimeError(
-                f"resume mismatch: committed shard {sid} covered inputs "
-                f"{rec.get('inputs')} but this run computes {shards[sid]}; "
-                "re-run with the original --docs/--shards or use a fresh --out"
-            )
-    processed = 0
-    t_start = time.perf_counter()
-    for sid, files in enumerate(shards):
-        if sid in done or not files:
-            continue
-        if max_shards is not None and processed >= max_shards:
-            break
-        t0 = time.perf_counter()
-        ds = build_extract_pipeline(files, media_dir, **pipeline_kwargs)
-        final = os.path.join(out_dir, f"shard-{sid:05d}")
-        tmp = os.path.join(out_dir, f".tmp-shard-{sid:05d}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(tmp, final)
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-
-        n_docs = 0
-        n_spans = 0
-        for f in os.listdir(final):
-            if not f.endswith(".parquet"):
-                continue
-            path = os.path.join(final, f)
-            n_docs += pq.read_metadata(path).num_rows
-            # per-partition metrics (north rule): span counts from list offsets
-            spans_col = pq.read_table(path, columns=["spans"])["spans"].combine_chunks()
-            n_spans += int(pc.sum(pc.list_value_length(spans_col)).as_py() or 0)
-        manifest.commit(
-            sid,
-            {
-                "inputs": files,
-                "output": final,
-                "docs": n_docs,
-                "spans": n_spans,
-                "wall_sec": round(time.perf_counter() - t0, 3),
-            },
-        )
-        processed += 1
-    return {
-        "out_dir": out_dir,
-        "shards_total": n_shards,
-        "shards_done": len(manifest.completed()),
-        "shards_processed_now": processed,
-        "wall_sec": time.perf_counter() - t_start,
-    }
+    return run_sharded(
+        out_dir, "inputs", shards,
+        lambda files: build_extract_pipeline(files, media_dir, **pipeline_kwargs),
+        "spans", max_shards,
+    )
 
 
-def read_output(out_dir: str):
-    """All committed shard outputs as one pyarrow Table (test helper)."""
-    import pyarrow.parquet as pq
-    import pyarrow as pa
-
-    from ..state.checkpoint import ShardManifest
-
-    tables = []
-    for rec in ShardManifest(out_dir).completed().values():
-        d = rec["output"]
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".parquet"):
-                tables.append(pq.read_table(os.path.join(d, f)))
-    return pa.concat_tables(tables) if tables else None
 if __name__ == "__main__":
     main()

@@ -6,18 +6,18 @@ committed partition).
 Shards key on MEDIA BUCKETS (the corpus's one partition key): shard i
 owns a fixed group of bucket ids, its refs are filtered by
 crc32(media_ref) % n_buckets, and its tasks therefore touch only its own
-bucket files (the bucket-locality property the bench relies on). Commit
-protocol mirrors the flagship: tmp dir -> atomic rename -> fsync'd
-manifest line carrying inputs, page/element counts and wall time.
+bucket files (the bucket-locality property the bench relies on). The
+commit protocol is the flagship's (state.checkpoint.run_sharded): tmp dir
+-> atomic rename -> fsync'd manifest line carrying the buckets, page and
+element counts and wall time.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import time
-
 import ray
+
+from ..state.checkpoint import read_output as read_structure_output  # re-exported
+from ..state.checkpoint import run_sharded
 
 
 def build_structure_pipeline(
@@ -94,82 +94,12 @@ def run_structure_extract(
     """Sharded, resumable run over bucket groups; re-running skips
     committed shards, `max_shards` limits work per invocation (the
     kill/resume test hook, same contract as run_extract)."""
-    from ..state.checkpoint import ShardManifest
-
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = ShardManifest(out_dir)
-    done = manifest.completed()
-
     n_shards = min(n_shards, n_buckets)
     groups = [list(range(n_buckets))[i::n_shards] for i in range(n_shards)]
-    for sid, rec in done.items():
-        if sid >= len(groups) or rec.get("buckets") != groups[sid]:
-            raise RuntimeError(
-                f"resume mismatch: committed shard {sid} covered buckets "
-                f"{rec.get('buckets')} but this run computes "
-                f"{groups[sid] if sid < len(groups) else None}; re-run with "
-                "the original --shards/--buckets or use a fresh --out"
-            )
-
-    processed = 0
-    t_start = time.perf_counter()
-    for sid, buckets in enumerate(groups):
-        if sid in done or not buckets:
-            continue
-        if max_shards is not None and processed >= max_shards:
-            break
-        t0 = time.perf_counter()
-        ds = build_structure_pipeline(
+    return run_sharded(
+        out_dir, "buckets", groups,
+        lambda buckets: build_structure_pipeline(
             refs_path, media_dir, buckets=buckets, n_buckets=n_buckets,
-            **pipeline_kwargs,
-        )
-        final = os.path.join(out_dir, f"shard-{sid:05d}")
-        tmp = os.path.join(out_dir, f".tmp-shard-{sid:05d}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
-        shutil.rmtree(final, ignore_errors=True)
-        os.rename(tmp, final)
-
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-
-        n_pages = 0
-        n_elements = 0
-        for f in os.listdir(final):
-            if not f.endswith(".parquet"):
-                continue
-            path = os.path.join(final, f)
-            n_pages += pq.read_metadata(path).num_rows
-            col = pq.read_table(path, columns=["n_elements"])["n_elements"]
-            n_elements += int(pc.sum(col).as_py() or 0)
-        manifest.commit(sid, {
-            "buckets": buckets,
-            "output": final,
-            "pages": n_pages,
-            "elements": n_elements,
-            "wall_sec": round(time.perf_counter() - t0, 3),
-        })
-        processed += 1
-    return {
-        "out_dir": out_dir,
-        "shards_total": n_shards,
-        "shards_done": len(manifest.completed()),
-        "shards_processed_now": processed,
-        "wall_sec": time.perf_counter() - t_start,
-    }
-
-
-def read_structure_output(out_dir: str):
-    """All committed shard outputs as one pyarrow Table (test helper)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ..state.checkpoint import ShardManifest
-
-    tables = []
-    for rec in ShardManifest(out_dir).completed().values():
-        d = rec["output"]
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".parquet"):
-                tables.append(pq.read_table(os.path.join(d, f)))
-    return pa.concat_tables(tables) if tables else None
+            **pipeline_kwargs),
+        "n_elements", max_shards,
+    )

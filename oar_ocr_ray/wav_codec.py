@@ -1,9 +1,9 @@
 """Minimal pure-python WAV (RIFF/PCM) codec.
 
-The audio leg of the multimodal surface: unlike jpeg (lossy, own DCT
-codec) and webp (env-gated), PCM WAV is a trivial lossless container, so
-the decode step is REAL with no external library — parse the RIFF header,
-locate the fmt/data chunks, and view the payload as int16 samples.
+PCM WAV is a trivial lossless container, so the decode step is REAL with
+no external library — parse the RIFF header, locate the fmt/data chunks,
+and view the payload as int16 samples. No pipeline reads audio; the codec
+is exercised only by its tests.
 
 Scope: PCM (format 1) 8/16/24/32-bit, IEEE float PCM (format 3,
 32/64-bit), MS-ADPCM (format 2), G.711

@@ -109,22 +109,3 @@ def test_avi_errors():
         decode_avi_frames(avi[:40])  # truncated inside hdrl
     with pytest.raises(ValueError):
         encode_avi_mjpeg([], 48, 32)
-
-
-def test_frame_sampler_real_avi(ray_session):
-    import ray
-
-    from oar_ocr_ray.stages.multimodal import FrameSampler
-
-    _, frames = _jpeg_frames(6)
-    avi = encode_avi_mjpeg(frames, 48, 32, fps=5)
-    ds = ray.data.from_items([{"video_id": 3, "payload": avi}]).map_batches(
-        FrameSampler, fn_constructor_kwargs={"every": 2},
-        concurrency=1, batch_size=1, batch_format="pyarrow",
-    )
-    rows = sorted(ds.take_all(), key=lambda r: r["frame_idx"])
-    assert [r["frame_idx"] for r in rows] == [0, 2, 4]
-    assert all(r["frame_fmt"] == "jpeg" for r in rows)
-    for r in rows:
-        assert bytes(r["frame"]) == frames[r["frame_idx"]]
-        assert decode_jpeg(bytes(r["frame"])).shape == (32, 48)

@@ -1,6 +1,7 @@
 """End-to-end flagship pipeline vs golden oracle — the north-rule invariant:
 span-sequence equality of (kind, text, media_ref, order) per document."""
 
+import json
 import os
 
 import pyarrow.parquet as pq
@@ -54,6 +55,8 @@ def test_pipeline_matches_golden(ray_session, corpus):
 
 
 def test_run_extract_resumable(ray_session, corpus, tmp_path):
+    from oar_ocr_ray.state.checkpoint import ShardManifest
+
     out = str(tmp_path / "out")
     # simulate a killed run: only 1 shard gets committed
     r1 = run_extract(
@@ -61,13 +64,26 @@ def test_run_extract_resumable(ray_session, corpus, tmp_path):
         n_shards=3, max_shards=1, n_parts=8, det_concurrency=1, rec_concurrency=1,
     )
     assert r1["shards_done"] == 1
-    # resume: finishes the rest, skipping the committed shard
+    # a crash mid-commit of shard 1 leaves a torn last manifest line: it
+    # reads as uncommitted, and the next commit cuts it off
+    manifest = ShardManifest(out)
+    with open(manifest.path, "a") as f:
+        f.write('{"shard_id": 1, "inp')
+    assert list(manifest.completed()) == [0]
+    r2a = run_extract(
+        corpus["doc_files"], corpus["media_dir"], out,
+        n_shards=3, max_shards=1, n_parts=8, det_concurrency=1, rec_concurrency=1,
+    )
+    assert r2a["shards_done"] == 2 and r2a["shards_processed_now"] == 1
+    # resume: finishes the rest, skipping the committed shards
     r2 = run_extract(
         corpus["doc_files"], corpus["media_dir"], out,
         n_shards=3, n_parts=8, det_concurrency=1, rec_concurrency=1,
     )
     assert r2["shards_done"] == 3
-    assert r2["shards_processed_now"] == 2  # shard 0 was skipped
+    assert r2["shards_processed_now"] == 1  # shards 0 and 1 were skipped
+    with open(manifest.path) as f:
+        assert [json.loads(line)["shard_id"] for line in f] == [0, 1, 2]
     table = read_output(out)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)
     # idempotent: a third run does nothing
@@ -76,6 +92,16 @@ def test_run_extract_resumable(ray_session, corpus, tmp_path):
         n_shards=3, n_parts=8,
     )
     assert r3["shards_processed_now"] == 0
+
+
+def test_manifest_corrupt_inner_line_names_path_and_line(tmp_path):
+    from oar_ocr_ray.state.checkpoint import ShardManifest
+
+    manifest = ShardManifest(str(tmp_path))
+    with open(manifest.path, "w") as f:
+        f.write('{"shard_id": 0}\n{"shard_id": 1, "inp\n{"shard_id": 2}\n')
+    with pytest.raises(RuntimeError, match=f"{manifest.path} line 2"):
+        manifest.completed()
 
 
 def test_run_extract_resume_rejects_shard_drift(ray_session, corpus, tmp_path):

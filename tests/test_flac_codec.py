@@ -275,33 +275,6 @@ def test_streaminfo_md5_matches_reference_hash():
     assert si_md5 == hashlib.md5(x.astype("<i2").tobytes()).digest()
 
 
-# ---------------------------------------------------------------------------
-# stage wiring
-
-
-def test_audio_features_flac(ray_session):
-    import pyarrow as pa
-    import ray
-
-    from oar_ocr_ray.stages.multimodal import AudioFeatures
-    from oar_ocr_ray.wav_codec import encode_wav
-
-    t = np.arange(8000)
-    x = (9000 * np.sin(t / 10)).astype(np.int16)
-    flac = encode_flac(x, 8000)
-    wav = encode_wav(x[:, None], 8000)
-    ds = ray.data.from_items([
-        {"clip_id": 1, "payload": flac},
-        {"clip_id": 2, "payload": wav},
-    ]).map_batches(AudioFeatures, concurrency=1, batch_size=2,
-                   batch_format="pyarrow")
-    rows = {r["clip_id"]: r for r in ds.take_all()}
-    assert rows[1]["sample_rate"] == 8000
-    # FLAC and WAV of the same samples must featurize identically
-    for k in ("duration_s", "rms", "zero_crossing_rate", "peak"):
-        assert abs(rows[1][k] - rows[2][k]) < 1e-12
-
-
 def test_8_and_24_bit_roundtrip():
     """bps-parametric streams: 8-bit widens to int16<<8, 24-bit keeps the
     top 16 bits; MD5 verifies over the raw stream-width samples."""

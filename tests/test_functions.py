@@ -153,58 +153,6 @@ def test_sessionize():
     assert out["n_events"].tolist() == [2, 1, 1, 1]
 
 
-def test_multimodal_stages():
-    import pyarrow as pa
-
-    from oar_ocr_ray.png_codec import encode_png
-    from oar_ocr_ray.stages.multimodal import FrameSampler, ImageDecodeResize, ImageFeatures
-
-    img = np.full((40, 60, 3), 128, dtype=np.uint8)
-    png = encode_png(img)
-    batch = pa.table({"img_id": [1], "payload": [png], "fmt": ["png"]})
-    out = ImageDecodeResize(max_side=30)(batch)
-    assert out["height"][0].as_py() == 40 and out["width"][0].as_py() == 60
-    from oar_ocr_ray.png_codec import decode_png
-
-    thumb = decode_png(out["thumb"][0].as_py())
-    assert max(thumb.shape[:2]) == 30
-
-    fb = ImageFeatures()(pa.table({"img_id": [1], "payload": [png]}))
-    feats = fb["features"][0].as_py()
-    assert len(feats) == 18 and abs(feats[0] - 128 / 255) < 1e-3
-
-    # fmt-dispatching feature extraction: same image via all three codecs
-    from oar_ocr_ray.jpeg_codec import encode_jpeg
-    from oar_ocr_ray.webp_codec import encode_webp
-
-    gray = np.full((20, 30), 100, dtype=np.uint8)
-    fb3 = ImageFeatures()(pa.table({
-        "img_id": [1, 2, 3],
-        "payload": [encode_png(gray), encode_jpeg(gray, 90), encode_webp(gray)],
-        "fmt": ["png", "jpeg", "webp"],
-    }))
-    for f in fb3["features"].to_pylist():
-        assert len(f) == 18 and abs(f[-2] - 100 / 255) < 0.02
-
-    vid = FrameSampler.pack([png, png, png, png, png])
-    frames = FrameSampler(every=2)(pa.table({"video_id": [7], "payload": [vid]}))
-    assert frames["frame_idx"].to_pylist() == [0, 2, 4]
-
-    # jpeg is now decoded by the own baseline codec (jpeg_codec.py)
-    from oar_ocr_ray.jpeg_codec import encode_jpeg
-
-    jb = encode_jpeg(np.full((40, 60), 128, dtype=np.uint8), 90)
-    out = ImageDecodeResize(max_side=30)(
-        pa.table({"img_id": [1], "payload": [jb], "fmt": ["jpeg"]}))
-    assert out["height"][0].as_py() == 40 and out["width"][0].as_py() == 60
-    with pytest.raises(ValueError):  # garbage jpeg -> decode error
-        ImageDecodeResize()(pa.table({"img_id": [1], "payload": [b"xx"], "fmt": ["jpeg"]}))
-    with pytest.raises(ValueError):  # garbage webp -> own VP8L decoder error
-        ImageDecodeResize()(pa.table({"img_id": [1], "payload": [b"xx"], "fmt": ["webp"]}))
-    with pytest.raises(NotImplementedError):
-        FrameSampler()(pa.table({"video_id": [1], "payload": [b"not a video"]}))
-
-
 def test_cluster_pairs():
     from oar_ocr_ray.functions.dedup import cluster_pairs
 

@@ -1,5 +1,5 @@
-"""Pure-numpy baseline JPEG codec: roundtrip properties, spec edges, and
-the multimodal decode wiring that it un-stubs."""
+"""Pure-numpy baseline JPEG codec: roundtrip properties and spec edges,
+plus the WAV PCM roundtrip."""
 
 import numpy as np
 import pytest
@@ -74,22 +74,8 @@ def test_decoder_rejects_garbage_and_truncation():
         decode_jpeg(good[:20])  # cut before SOF/SOS
 
 
-def test_multimodal_decode_any_jpeg_unstubbed():
-    from oar_ocr_ray.stages.multimodal import _decode_any
-
-    img = np.full((20, 30), 77, dtype=np.uint8)
-    out = _decode_any(encode_jpeg(img, 90), "jpeg")
-    assert (out == img).all()
-    out = _decode_any(encode_jpeg(img, 90), "jpg")
-    assert out.shape == (20, 30)
-    from oar_ocr_ray.webp_codec import encode_webp
-
-    out = _decode_any(encode_webp(img), "webp")
-    assert out.shape == (20, 30, 3) and (out == img[:, :, None]).all()
-
-
 # ---------------------------------------------------------------------------
-# WAV codec + audio stage (lossless PCM: exact roundtrip)
+# WAV codec (lossless PCM: exact roundtrip)
 # ---------------------------------------------------------------------------
 
 def test_wav_roundtrip_exact():
@@ -104,28 +90,6 @@ def test_wav_roundtrip_exact():
     assert rate == 44100 and (s == stereo).all()
     with pytest.raises(ValueError):
         decode_wav(b"RIFFxxxx")
-
-
-def test_audio_features_stage():
-    import pyarrow as pa
-
-    from oar_ocr_ray.stages.multimodal import AudioFeatures
-    from oar_ocr_ray.wav_codec import encode_wav
-
-    rate = 16000
-    t = np.arange(rate)  # 1 second
-    sine = (np.sin(2 * np.pi * 440 * t / rate) * 16000).astype(np.int16)
-    silence = np.zeros(rate // 2, dtype=np.int16)
-    out = AudioFeatures()(pa.table({
-        "clip_id": [1, 2],
-        "payload": [encode_wav(sine, rate), encode_wav(silence, rate)],
-    }))
-    assert out["duration_s"][0].as_py() == pytest.approx(1.0)
-    assert out["duration_s"][1].as_py() == pytest.approx(0.5)
-    # sine RMS = amp/sqrt(2); 440 Hz -> ~880 zero crossings/s
-    assert out["rms"][0].as_py() == pytest.approx(16000 / 32768 / np.sqrt(2), rel=1e-3)
-    assert out["zero_crossing_rate"][0].as_py() == pytest.approx(880 / rate, rel=0.01)
-    assert out["rms"][1].as_py() == 0.0 and out["peak"][1].as_py() == 0.0
 
 
 # ---------------------------------------------------------------------------
