@@ -2,7 +2,10 @@
 
 Headline: the flagship extraction pipeline (docs/sec) over a cached
 deterministic synthetic interleaved corpus; plus per-query timings over
-$GRAFT_SF_DIR (default /root/testdata/sf0.1).
+$GRAFT_SF_DIR (default /root/testdata/sf0.1). Ray gets the CPUs this
+process may use (affinity, OMP_NUM_THREADS, cgroup quota; see
+perfbench.measure.available_cpus), at least queries.MIN_CLUSTER_CPUS and
+at most MAX_CPUS; $RAY_GRAFT_CPUS overrides.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline seconds>, "unit": "sec",
@@ -26,8 +29,15 @@ import time
 REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
+from oar_ocr_ray.queries import MIN_CLUSTER_CPUS  # noqa: E402
+from perfbench.measure import available_cpus  # noqa: E402
+
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# Ray starts a worker per CPU it is given: cap what a large host shows
+MAX_CPUS = 16
+# Ray's num_cpus: the CPUs this process may use, unless RAY_GRAFT_CPUS says
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS")
+               or min(max(MIN_CLUSTER_CPUS, available_cpus()), MAX_CPUS))
 BENCH_DOCS = int(os.environ.get("BENCH_DOCS", "20000"))
 SEED = 42
 
@@ -122,9 +132,8 @@ def structure_corpus_dir() -> dict:
     from oar_ocr_ray.fixtures import write_structure_corpus
 
     os.makedirs(d, exist_ok=True)
-    # default 64 buckets = 2x tasks per CPU at num_cpus=32, so one ambient
-    # straggler no longer bounds the wall (round-3 ran 32 bucket-aligned
-    # tasks); BENCH_STRUCT_BUCKETS overrides for granularity sweeps.
+    # the structure DAG runs one bucket-aligned read task per media
+    # bucket; BENCH_STRUCT_BUCKETS overrides for granularity sweeps.
     meta = write_structure_corpus(d, STRUCT_PAGES, seed=7,
                                   n_media_buckets=STRUCT_BUCKETS)
     with open(meta_path, "w") as f:
@@ -175,7 +184,7 @@ def tune_data_context() -> None:
     ctx.op_resource_reservation_ratio = 0.0
 
 
-def run_flagship(meta: dict, num_cpus: int, repeats: int = 5,
+def run_flagship(meta: dict, repeats: int = 5,
                  seams: bool = False) -> tuple[float, int]:
     """Best-of-N steady-state wall time (one warm-up run first). Noise on
     this box is strictly additive (scheduler ramp, residual warming), so the
@@ -189,7 +198,6 @@ def run_flagship(meta: dict, num_cpus: int, repeats: int = 5,
     def build(files):
         return build_extract_pipeline(
             meta["doc_files"] if files is None else files, meta["media_dir"],
-            n_parts=max(64, num_cpus * 4),
             det_model_input=seams, rec_model_input=seams,
         )
 
@@ -238,12 +246,12 @@ def main() -> None:
     for name in BENCH_QUERIES:
         t0 = time.perf_counter()
         if name == "extract_flagship":
-            dt, n = run_flagship(meta, NUM_CPUS)
+            dt, n = run_flagship(meta)
             qtimes[name] = round(dt, 3)
             headline = dt
             continue
         if name == "extract_flagship_seams":
-            dt, n = run_flagship(meta, NUM_CPUS, repeats=2, seams=True)
+            dt, n = run_flagship(meta, repeats=2, seams=True)
             qtimes[name] = round(dt, 3)
             seams_headline = dt
             continue
@@ -371,7 +379,7 @@ if __name__ == "__main__":
                  ignore_reinit_error=True, logging_level="ERROR")
         tune_data_context()
         meta = corpus_dir()
-        dt, n = run_flagship(meta, NUM_CPUS, repeats=2 if seams else 5,
+        dt, n = run_flagship(meta, repeats=2 if seams else 5,
                              seams=seams)
         ray.shutdown()
         print(json.dumps({

@@ -59,7 +59,11 @@ class OcrBuilder:
     """Fluent config for the flagship OCR extraction pipeline.
 
     >>> ds = (OcrBuilder().text_type("general").det_concurrency(4)
-    ...       .rec_batch_size(512).build().dataset(doc_files, media_dir))
+    ...       .build().dataset(doc_files, media_dir))
+
+    det_batch_size / rec_batch_size default to None: each model stage gets
+    whole blocks (the read makes 2 per cluster CPU). An int cuts blocks
+    into batches of that many rows.
     """
 
     def __init__(self):
@@ -67,8 +71,8 @@ class OcrBuilder:
         self._n_parts = 64
         self._det_concurrency = 4
         self._rec_concurrency = 2
-        self._det_batch_size = 64
-        self._rec_batch_size = 512
+        self._det_batch_size = None  # whole blocks
+        self._rec_batch_size = None
         self._stage_mode = "tasks"
         self._det_max_side = 4000  # DetResizeForTest max_side_limit cap
         self._rec_model_input = False
@@ -103,11 +107,11 @@ class OcrBuilder:
         self._rec_concurrency = n
         return self
 
-    def det_batch_size(self, n: int) -> "OcrBuilder":
+    def det_batch_size(self, n: int | None) -> "OcrBuilder":
         self._det_batch_size = n
         return self
 
-    def rec_batch_size(self, n: int) -> "OcrBuilder":
+    def rec_batch_size(self, n: int | None) -> "OcrBuilder":
         self._rec_batch_size = n
         return self
 
@@ -129,7 +133,10 @@ class OcrBuilder:
             raise ValueError(f"stage_mode must be 'tasks' or 'actors', got {self._stage_mode!r}")
         for name in ("_n_parts", "_det_concurrency", "_rec_concurrency",
                      "_det_batch_size", "_rec_batch_size"):
-            if getattr(self, name) < 1:
+            v = getattr(self, name)
+            if v is None and name.endswith("_batch_size"):
+                continue  # whole blocks
+            if v < 1:
                 raise ValueError(f"{name.lstrip('_')} must be >= 1")
         return OcrPipeline(self)
 

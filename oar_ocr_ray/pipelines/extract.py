@@ -4,7 +4,7 @@ One streaming Ray Data pass reproducing the reference's OCR extraction
 semantics (/root/reference/src/oarocr/ocr.rs:452-574 predict) over the
 interleaved text+media `documents` table:
 
-  read_parquet(documents)                      # columns pruned at the read
+  read_parquet(documents)                      # 2 blocks per cluster CPU, columns pruned
     -> map_batches(explode_spans)              # doc -> span rows (+anchors), Arrow-vectorized
     -> map_batches(strip_text_spans)           # text path: vectorized boilerplate strip
     -> map_batches(MediaDetect,  tasks)        # media path: decode+orient+detect+crop fan-out
@@ -13,23 +13,40 @@ interleaved text+media `documents` table:
     -> write_parquet(shard dir)                # committed per shard via manifest
 
 The model stages run as stateless tasks by default; stage_mode="actors"
-runs them as actor pools instead.
+runs them as actor pools instead. Either way each model stage gets whole
+blocks by default, so no block is cut into small batches that are
+filtered, padded and concatenated again; in tasks mode the read then fuses
+into the map chain.
 
-Scale properties: decoded pixels never enter the shuffle (crops are dropped
-before the groupby); media payloads are point-lookups against the bucketed
-store, not a join; the only all-to-all exchange is keyed on `part`
-(crc32(doc_id) % n_parts), with media-heavy documents pre-balanced by the
-explode-to-crop-rows fan-out. Never materializes the dataset.
+Scale properties: the read splits a shard into 2 blocks per CPU of the
+running cluster, so the number of tasks and sort partitions follows the
+CPUs, not the corpus or `n_parts`; Ray's `target_max_block_size` still
+splits any block that grows too large. Span rows are small, so that limit
+does not cap how many images or crops a block holds; a model-stage call
+keeps what it makes for each of them (crops, CTC logits) until it returns.
+So each stage is called once per run of a block's rows holding at most
+`WORK_PER_CALL` of the rows it works on (64 image spans for MediaDetect,
+512 crops for Recognize; `stages.media.bounded_runs`), and each run's
+table is yielded as it returns; text rows ride along, so a text-heavy
+block is still one call. Inside a call MediaDetect decodes at most
+`chunk_px` pixels at a time and Recognize runs wh-sorted
+`rec_session_batch` sub-batches. Decoded pixels never enter the shuffle
+(crops are dropped before the groupby); media payloads are point-lookups
+against the bucketed store, not a join; the only all-to-all exchange is
+keyed on `part` (crc32(doc_id) % n_parts), with media-heavy documents
+pre-balanced by the explode-to-crop-rows fan-out. Never materializes the
+dataset.
 """
 
 from __future__ import annotations
 
 import os
 
+import ray
 import ray.data
 
 from ..stages.explode import make_explode_spans
-from ..stages.media import MediaDetect, Recognize
+from ..stages.media import BoundedRunsActor, MediaDetect, Recognize
 from ..stages.reassemble import rebuild_partition
 from ..stages.text import strip_text_spans
 from ..state.checkpoint import read_output, run_sharded  # read_output: re-exported
@@ -42,8 +59,8 @@ def build_extract_pipeline(
     n_parts: int = 64,
     det_concurrency: int = 4,
     rec_concurrency: int = 2,
-    det_batch_size: int = 64,
-    rec_batch_size: int = 512,
+    det_batch_size: int | None = None,
+    rec_batch_size: int | None = None,
     stage_mode: str = "tasks",
     det_max_side: int = 4000,
     rec_model_input: bool = False,
@@ -53,6 +70,14 @@ def build_extract_pipeline(
 ) -> "ray.data.Dataset":
     """Build the lazy Dataset DAG (nothing executes until consumed).
 
+    The read asks for 2 blocks per CPU of the running Ray cluster, so Ray
+    must be initialised first (the caller owns the session). `n_parts` is
+    the number of `part` keys the exchange groups by; it does not size
+    blocks. det_batch_size / rec_batch_size of None (the default) hand each
+    model stage whole blocks, which it works through in bounded runs
+    (`stages.media.bounded_runs`); an int cuts blocks into batches of that
+    many rows first.
+
     stage_mode="tasks" (default): model stages run as stateless tasks with a
     per-worker cached stage instance — elastic parallelism on the warm
     worker pool; right when stage state is cheap (deterministic stubs).
@@ -60,21 +85,27 @@ def build_extract_pipeline(
     when state is heavyweight (real ONNX sessions); concurrency knobs apply.
     """
     from ..sources import read_documents
-    from ..stages.media import cached_stage
+    from ..stages.media import cached_stage, in_bounded_runs
 
+    if not ray.is_initialized():
+        raise RuntimeError(
+            "build_extract_pipeline sizes its read from the running Ray "
+            "cluster's CPUs: call ray.init() first")
+    read_blocks = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     media_refs = _media_refs_for(media_dir)
     # the Lance substitution seam: parquet in this env, read_lance (or an
     # injected read_lance-shaped reader) for .lance sources — column
     # pruning and block sizing pass through either way
     ds = read_documents(
         doc_files, columns=["doc_id", "spans"],
-        override_num_blocks=max(64, n_parts * 2), lance_reader=lance_reader,
+        override_num_blocks=read_blocks, lance_reader=lance_reader,
     )
     ds = ds.map_batches(make_explode_spans(n_parts), batch_format="pyarrow")
     ds = ds.map_batches(strip_text_spans, batch_format="pyarrow")
     if stage_mode == "actors":
         ds = ds.map_batches(
-            MediaDetect,
+            BoundedRunsActor,
+            fn_constructor_args=(MediaDetect,),
             fn_constructor_kwargs={"media_dir": media_dir,
                                    "det_max_side": det_max_side,
                                    "det_model_input": det_model_input,
@@ -85,7 +116,8 @@ def build_extract_pipeline(
             num_cpus=1,
         )
         ds = ds.map_batches(
-            Recognize,
+            BoundedRunsActor,
+            fn_constructor_args=(Recognize,),
             fn_constructor_kwargs={"model_input": rec_model_input},
             batch_format="pyarrow",
             batch_size=rec_batch_size,
@@ -105,12 +137,13 @@ def build_extract_pipeline(
                                      det_model_input=det_model_input,
                                      rectify=rectify)
         ds = ds.map_batches(
-            det_stage,
+            in_bounded_runs(det_stage, MediaDetect),
             batch_format="pyarrow",
             batch_size=det_batch_size,
         )
         ds = ds.map_batches(
-            cached_stage(Recognize, model_input=rec_model_input),
+            in_bounded_runs(cached_stage(Recognize, model_input=rec_model_input),
+                            Recognize),
             batch_format="pyarrow",
             batch_size=rec_batch_size,
         )
@@ -142,8 +175,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--n-parts", type=int, default=128)
     p.add_argument("--num-cpus", type=int, default=None)
     args = p.parse_args(argv)
-
-    import ray
 
     if not ray.is_initialized():
         ray.init(

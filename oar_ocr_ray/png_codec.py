@@ -16,6 +16,11 @@ import numpy as np
 
 _SIG = b"\x89PNG\r\n\x1a\n"
 
+# what decode_png raises on a corrupt or truncated blob: a bad header or
+# chunk (ValueError, struct.error), a broken IDAT stream (zlib.error) or
+# scanlines shorter than IHDR promises (IndexError)
+DECODE_ERRORS = (ValueError, zlib.error, IndexError, struct.error)
+
 
 def _chunk(tag: bytes, data: bytes) -> bytes:
     return (

@@ -71,6 +71,14 @@ def _p(sf_dir: str, table: str) -> str:
     return os.path.join(sf_dir, f"{table}.parquet")
 
 
+# The fewest Ray CPUs the query library runs on. Its actor pools
+# (concurrency=2, one CPU per actor) and hash joins (0.125 CPU per
+# partition for the aggregator actors) hold CPUs that their upstream reads
+# then lack: on 1 CPU q5_nation_revenue's 8-partition join never runs its
+# reads, on 2 ann_topk's pool never does. The tests run the library on 4.
+MIN_CLUSTER_CPUS = 4
+
+
 def _n_parts() -> int:
     """Coarse-exchange partition count, scaled to the cluster: 2 tasks
     per CPU (straggler headroom), floor 64 so small test clusters still

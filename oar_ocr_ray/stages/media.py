@@ -30,7 +30,6 @@ store key; payloads never enter an all-to-all exchange).
 from __future__ import annotations
 
 import os
-import struct
 import zlib
 from collections import OrderedDict
 
@@ -41,7 +40,7 @@ import pyarrow.parquet as pq
 
 from ..ctc import ctc_greedy_decode, encode_ctc_logits
 from ..geometry import aabb_to_quad, get_rotate_crop_image
-from ..png_codec import decode_png
+from ..png_codec import DECODE_ERRORS, decode_png
 from ..sorting import sort_quad_boxes_indices
 from ..stubs import classify_orientation, correct_orientation, read_crop_text
 
@@ -105,6 +104,45 @@ def cached_stage(cls, **kwargs):
     fn.__name__ = cls.__name__
     fn.__qualname__ = cls.__name__
     return fn
+
+
+def bounded_runs(batch: pa.Table, stage) -> list[pa.Table]:
+    """Cut `batch` into runs of consecutive rows, each holding at most
+    `stage.WORK_PER_CALL` of the rows `stage.is_work` selects; a batch with
+    no more than that comes back whole.
+
+    A model-stage call keeps what it makes for every row it works on until
+    it returns (MediaDetect its crops, Recognize its CTC logits), so a call
+    over a whole block would grow with the block. Rows the stage passes
+    through ride along in whichever run holds them, so a text-heavy block
+    is still one call."""
+    idx = np.flatnonzero(stage.is_work(batch).to_numpy())
+    per_run = stage.WORK_PER_CALL
+    cuts = [0, *idx[per_run::per_run].tolist(), len(batch)]
+    return [batch.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+
+
+def in_bounded_runs(fn, stage):
+    """`fn` (an instance of the model-stage class `stage`, or
+    cached_stage(stage, ...)) as a generator `map_batches` UDF over whole
+    blocks: one call per bounded run, each table yielded as it returns."""
+
+    def runs_fn(batch):
+        for run in bounded_runs(batch, stage):
+            yield fn(run)
+
+    runs_fn.__name__ = runs_fn.__qualname__ = stage.__name__
+    return runs_fn
+
+
+class BoundedRunsActor:
+    """Actor-pool form of in_bounded_runs: builds stage(**kwargs) once."""
+
+    def __init__(self, stage, **kwargs):
+        self.runs_fn = in_bounded_runs(stage(**kwargs), stage)
+
+    def __call__(self, batch: pa.Table):
+        return self.runs_fn(batch)
 
 
 def _with_null_crop_cols(batch: pa.Table) -> pa.Table:
@@ -595,8 +633,16 @@ class MediaDetect:
             OrientationClassifier(session=orient_session)
             if (orient_model_input or orient_session is not None) else None)
 
+    # image spans per call over a whole block (see bounded_runs): the
+    # crops of at most as many pages as a former 64-row batch held
+    WORK_PER_CALL = 64
+
+    @staticmethod
+    def is_work(batch: pa.Table) -> pa.ChunkedArray:
+        return pc.equal(batch["kind"], "image")
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        is_img = pc.equal(batch["kind"], "image")
+        is_img = self.is_work(batch)
         passthrough = _with_null_crop_cols(batch.filter(pc.invert(is_img)))
         img_rows = batch.filter(is_img)
         if len(img_rows) == 0:
@@ -630,7 +676,7 @@ class MediaDetect:
                     continue
                 try:
                     img = decode_png(payload)[:, :, 0]  # grayscale channel
-                except (ValueError, zlib.error, IndexError, struct.error):
+                except DECODE_ERRORS:
                     # A corrupt blob (truncated upload, bit rot) is as
                     # inevitable as a lost one at 10^12 docs — skip like
                     # missing media, never abort the run.
@@ -894,6 +940,15 @@ class Recognize:
             rec_session = StubCtcSession()  # once per actor, like a session
         self.rec_session = rec_session
 
+    # crops per call over a whole block (see bounded_runs): a call holds
+    # every crop's decoded pixels and CTC logits until it returns, so at
+    # most as many as a former 512-row batch held
+    WORK_PER_CALL = 512
+
+    @staticmethod
+    def is_work(batch: pa.Table) -> pa.ChunkedArray:
+        return pc.is_valid(batch["crop"])
+
     @staticmethod
     def _maybe_unrotate(arr: np.ndarray) -> np.ndarray:
         """ImageRotationProcessor (reference processors.rs:130-182): when
@@ -966,7 +1021,7 @@ class Recognize:
         return logits
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        has_crop = pc.is_valid(batch["crop"])
+        has_crop = self.is_work(batch)
         passthrough = batch.filter(pc.invert(has_crop)).drop_columns(
             [n for n, _ in CROP_FIELDS]
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..png_codec import decode_png
+from ..png_codec import DECODE_ERRORS, decode_png
 from ..geometry import get_rotate_crop_image
 from ..structure import (
     CONTAINER_LABELS,
@@ -127,7 +127,7 @@ class StructureExtract:
             return None
         try:
             img = decode_png(payload)[:, :, 0]
-        except Exception:
+        except DECODE_ERRORS:
             # corrupt blob: skip like missing media, never abort the run
             self.missing_media += 1
             return None

@@ -31,6 +31,16 @@ def test_builder_validation_raises_at_build():
         StructureBuilder().concurrency(0).build()
 
 
+def test_batch_sizes_default_to_whole_blocks():
+    """None (the default) hands each model stage whole blocks and passes
+    validation; explicit ints are still checked."""
+    kw = OcrBuilder().build().kwargs
+    assert kw["det_batch_size"] is None and kw["rec_batch_size"] is None
+    OcrBuilder().det_batch_size(None).rec_batch_size(None).build()
+    with pytest.raises(ValueError):
+        OcrBuilder().det_batch_size(0).build()
+
+
 def test_general_preset_binds_det_cap():
     p = OcrBuilder().text_type("general").build()
     assert p.det_max_side == 960  # limit 960/max caps the detect resize
@@ -39,15 +49,13 @@ def test_general_preset_binds_det_cap():
 
 
 def test_built_ocr_pipeline_matches_golden(ray_session, tmp_path):
-    import pyarrow as pa
-    import ray
-
     from oar_ocr_ray.fixtures import write_corpus
+    from tests.test_extract_e2e import collect_output
 
     corpus = write_corpus(str(tmp_path / "c"), 60, seed=9, n_doc_files=3)
     ds = (OcrBuilder().n_parts(8).det_concurrency(1).rec_concurrency(1)
           .build().dataset(corpus["doc_files"], corpus["media_dir"]))
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     golden = pq.read_table(corpus["golden_path"])
     got = {r["doc_id"]: [(s["kind"], s["text"]) for s in r["spans"]]
            for r in table.to_pylist()}

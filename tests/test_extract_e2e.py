@@ -4,10 +4,11 @@ span-sequence equality of (kind, text, media_ref, order) per document."""
 import json
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from oar_ocr_ray.fixtures import write_corpus
+from oar_ocr_ray.fixtures import OUTPUT_SCHEMA, write_corpus
 from oar_ocr_ray.pipelines.extract import build_extract_pipeline, read_output, run_extract
 
 N_DOCS = 250
@@ -28,6 +29,24 @@ def spans_by_doc(table):
     return out
 
 
+def concat_output(tables) -> pa.Table:
+    """One table from the extract pipeline's output blocks. Ray's Sort
+    emits a zero-column table for an empty range partition, which
+    map_groups passes through untouched: zero-row blocks are dropped, and
+    every other block must carry OUTPUT_SCHEMA."""
+    kept = [t for t in tables if t.num_rows]
+    for t in kept:
+        assert t.schema.equals(OUTPUT_SCHEMA), t.schema
+    return pa.concat_tables(kept) if kept else OUTPUT_SCHEMA.empty_table()
+
+
+def collect_output(ds) -> pa.Table:
+    """Execute an extract Dataset and concatenate its blocks in memory."""
+    import ray
+
+    return concat_output(ray.get(ds.to_arrow_refs()))
+
+
 def assert_matches_golden(result_table, golden_path, n_docs):
     golden = spans_by_doc(pq.read_table(golden_path))
     got = spans_by_doc(result_table)
@@ -41,17 +60,29 @@ def assert_matches_golden(result_table, golden_path, n_docs):
         )
 
 
+def test_concat_output_drops_empty_partitions():
+    """A zero-column empty table (what Ray's Sort returns for an empty
+    range partition) is dropped; a non-empty block of any other schema
+    fails the collector."""
+    empty_partition = pa.table({})
+    rows = [{"doc_id": "d1", "spans": [{"kind": "text", "text": "a",
+                                        "media_ref": "", "order": 0}]},
+            {"doc_id": "d2", "spans": []}]
+    a = pa.Table.from_pylist(rows[:1], schema=OUTPUT_SCHEMA)
+    b = pa.Table.from_pylist(rows[1:], schema=OUTPUT_SCHEMA)
+    out = concat_output([a, empty_partition, OUTPUT_SCHEMA.empty_table(), b])
+    assert out.schema.equals(OUTPUT_SCHEMA) and out.to_pylist() == rows
+    assert concat_output([empty_partition]).schema.equals(OUTPUT_SCHEMA)
+    with pytest.raises(AssertionError):
+        concat_output([a, pa.table({"doc_id": ["d3"]})])
+
+
 def test_pipeline_matches_golden(ray_session, corpus):
     ds = build_extract_pipeline(
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
         det_concurrency=1, rec_concurrency=1,
     )
-    result = ds.to_arrow_refs()
-    import pyarrow as pa
-    import ray
-
-    table = pa.concat_tables([ray.get(r) for r in result])
-    assert_matches_golden(table, corpus["golden_path"], N_DOCS)
+    assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
 
 
 def test_run_extract_resumable(ray_session, corpus, tmp_path):
@@ -200,6 +231,35 @@ def test_media_detect_chunk_invariance(corpus):
     assert a.equals(b)
 
 
+def test_model_stages_run_whole_blocks_in_bounded_runs(ray_session, corpus):
+    """A whole block reaches each model stage in runs of consecutive rows
+    holding at most WORK_PER_CALL of the rows the stage works on (image
+    spans for MediaDetect, crops for Recognize): the runs cover the block
+    in order, and their tables hold the same rows as one call over it."""
+    from oar_ocr_ray.stages.explode import make_explode_spans
+    from oar_ocr_ray.stages.media import MediaDetect, Recognize, in_bounded_runs
+    from oar_ocr_ray.stages.text import strip_text_spans
+
+    docs = pa.concat_tables([pq.read_table(f) for f in corpus["doc_files"][:3]])
+    spans = strip_text_spans(make_explode_spans(8)(docs))
+    detect = MediaDetect(media_dir=corpus["media_dir"])
+    keys = [("doc_id", "ascending"), ("offset", "ascending"), ("det_idx", "ascending")]
+    for stage, batch in ((detect, spans), (Recognize(), detect(spans))):
+        cls = type(stage)
+        calls = []
+
+        def recording(run):
+            calls.append(run)
+            return stage(run)
+
+        out = pa.concat_tables(list(in_bounded_runs(recording, cls)(batch)))
+        work = [int(cls.is_work(r).to_numpy().sum()) for r in calls]
+        assert len(calls) > 1 and max(work) <= cls.WORK_PER_CALL, (cls, work)
+        assert sum(work) == int(cls.is_work(batch).to_numpy().sum())
+        assert pa.concat_tables(calls).equals(batch)
+        assert out.sort_by(keys).equals(stage(batch).sort_by(keys))
+
+
 def test_media_store_stamp_detects_rewritten_bucket(ray_session, tmp_path):
     """A rewritten bucket parquet (same filename) must be re-read by the
     shared directory, not served stale, keyed on the (mtime_ns, size)
@@ -241,13 +301,7 @@ def test_actors_stage_mode_matches_golden(ray_session, corpus):
         corpus["doc_files"], corpus["media_dir"], n_parts=8,
         stage_mode="actors", det_concurrency=1, rec_concurrency=1,
     )
-    table = ds.to_arrow_refs()
-    import ray
-
-    import pyarrow as pa
-
-    tbl = pa.concat_tables([ray.get(r) for r in table])
-    assert_matches_golden(tbl, corpus["golden_path"], N_DOCS)
+    assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
 
 
 def test_corrupt_media_payload_skipped_not_fatal(ray_session, corpus, tmp_path):
@@ -255,9 +309,6 @@ def test_corrupt_media_payload_skipped_not_fatal(ray_session, corpus, tmp_path):
     must degrade to an empty-media span set for the affected docs, exactly
     like a lost blob, never abort the run."""
     import shutil
-
-    import pyarrow as pa
-    import ray
 
     media_dir = str(tmp_path / "media_corrupt")
     shutil.copytree(corpus["media_dir"], media_dir)
@@ -293,7 +344,7 @@ def test_corrupt_media_payload_skipped_not_fatal(ray_session, corpus, tmp_path):
         corpus["doc_files"], media_dir, n_parts=16,
         det_concurrency=1, rec_concurrency=1,
     )
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     got = spans_by_doc(table)
     # every doc still present; media spans whose ref was corrupted are gone,
     # text spans intact
@@ -310,9 +361,6 @@ def test_wiped_media_bucket_skipped_not_fatal(ray_session, corpus, tmp_path):
     the other blob-loss mode: refs missing entirely rather than payloads
     corrupt) must likewise degrade to empty-media spans, never abort."""
     import shutil
-
-    import pyarrow as pa
-    import ray
 
     media_dir = str(tmp_path / "media_wiped")
     shutil.copytree(corpus["media_dir"], media_dir)
@@ -333,7 +381,7 @@ def test_wiped_media_bucket_skipped_not_fatal(ray_session, corpus, tmp_path):
         corpus["doc_files"], media_dir, n_parts=16,
         det_concurrency=1, rec_concurrency=1,
     )
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     got = spans_by_doc(table)
     assert len(got) == N_DOCS
     golden = spans_by_doc(pq.read_table(corpus["golden_path"]))
@@ -355,10 +403,7 @@ def test_model_input_tensor_path_matches_golden(ray_session, corpus):
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
         det_concurrency=1, rec_concurrency=1, rec_model_input=True,
     )
-    import pyarrow as pa
-    import ray
-
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)
 
 def test_det_model_input_tensor_path_matches_golden(ray_session, corpus):
@@ -375,10 +420,7 @@ def test_det_model_input_tensor_path_matches_golden(ray_session, corpus):
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
         det_concurrency=1, rec_concurrency=1, det_model_input=True,
     )
-    import pyarrow as pa
-    import ray
-
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)
 
 
@@ -392,10 +434,7 @@ def test_both_model_boundaries_match_golden(ray_session, corpus):
         det_concurrency=1, rec_concurrency=1,
         det_model_input=True, rec_model_input=True,
     )
-    import pyarrow as pa
-    import ray
-
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)
 
 
@@ -404,12 +443,9 @@ def test_orientation_seam_matches_golden(ray_session, corpus):
     through the session boundary (normalized tensor -> (B,4) probs ->
     argmax); the corpus has ~10% rotated pages, so the seam is
     load-bearing."""
-    from oar_ocr_ray.stages.media import MediaDetect, Recognize, cached_stage
     import ray.data
-    import pyarrow as pa
-    import ray
 
-    from oar_ocr_ray.pipelines.extract import build_extract_pipeline
+    from oar_ocr_ray.stages.media import MediaDetect, Recognize
     from oar_ocr_ray.stages.explode import make_explode_spans
     from oar_ocr_ray.stages.reassemble import merge_partials, pack_partial
     from oar_ocr_ray.stages.text import strip_text_spans
@@ -427,5 +463,5 @@ def test_orientation_seam_matches_golden(ray_session, corpus):
                         batch_size=512, concurrency=1, num_cpus=1)
     ds = ds.map_batches(pack_partial, batch_format="pyarrow")
     ds = ds.groupby("part").map_groups(merge_partials, batch_format="pyarrow")
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    table = collect_output(ds)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)

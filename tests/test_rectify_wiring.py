@@ -3,7 +3,6 @@ preprocess.rs:58-94: orient, then rectify; rectification voids orientation
 back-mapping and results stay in rectified space)."""
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
 from oar_ocr_ray.fixtures import (
@@ -72,15 +71,14 @@ def warp_corpus(tmp_path_factory):
 
 
 def _run(corpus, **kw):
-    import ray
-
     from oar_ocr_ray.pipelines.extract import build_extract_pipeline
+    from tests.test_extract_e2e import collect_output
 
     ds = build_extract_pipeline(
         corpus["doc_files"], corpus["media_dir"], n_parts=8,
         det_concurrency=1, rec_concurrency=1, **kw,
     )
-    return pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    return collect_output(ds)
 
 
 def test_flagship_with_rectify_matches_golden(ray_session, warp_corpus):

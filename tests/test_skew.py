@@ -22,7 +22,7 @@ from oar_ocr_ray.fixtures import (
 )
 from oar_ocr_ray.pipelines.extract import build_extract_pipeline
 
-from test_extract_e2e import assert_matches_golden
+from test_extract_e2e import assert_matches_golden, collect_output
 
 N_WHALES = 3
 WHALE_MEDIA = 40  # vs 0-1 for the other docs
@@ -75,12 +75,9 @@ def build_skewed_corpus(out_dir: str):
 
 @pytest.mark.usefixtures("ray_session")
 def test_whale_docs_match_golden(tmp_path):
-    import ray
-
     files, media_dir, golden_path = build_skewed_corpus(str(tmp_path / "skew"))
     ds = build_extract_pipeline(files, media_dir, n_parts=8)
-    table = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
-    assert_matches_golden(table, golden_path, N_DOCS)
+    assert_matches_golden(collect_output(ds), golden_path, N_DOCS)
 
 
 def test_rotate_about_center_semantics():

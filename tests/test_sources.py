@@ -73,9 +73,37 @@ def test_flagship_identical_through_lance_seam(ray_session, tmp_path):
         lance_reader=double,
     ).to_pandas().sort_values("doc_id").reset_index(drop=True)
 
+    # 2 read blocks per CPU of the cluster (conftest starts Ray with 4)
     assert double.calls == [{"source": "corpus://docs.lance",
                              "columns": ["doc_id", "spans"],
-                             "override_num_blocks": 64}]
+                             "override_num_blocks": 8}]
     assert (base["doc_id"] == seam["doc_id"]).all()
     mism = base["spans"].astype(str).to_numpy() != seam["spans"].astype(str).to_numpy()
     assert not mism.any(), base["doc_id"][np.flatnonzero(mism)[0]]
+
+
+def test_read_block_count_ignores_n_parts(ray_session, tmp_path):
+    """The read is sized from the cluster's CPUs alone: the number of
+    `part` keys does not change it."""
+    from oar_ocr_ray.fixtures import write_corpus
+    from oar_ocr_ray.pipelines.extract import build_extract_pipeline
+
+    meta = write_corpus(str(tmp_path / "c"), 8, seed=5, n_doc_files=2,
+                        with_golden=False)
+    double = ReaderDouble(meta["doc_files"])
+    for n_parts in (8, 200):
+        build_extract_pipeline("corpus://docs.lance", meta["media_dir"],
+                               n_parts=n_parts, lance_reader=double)
+    assert [c["override_num_blocks"] for c in double.calls] == [8, 8]
+
+
+def test_extract_build_needs_running_ray(monkeypatch, tmp_path):
+    """The read is sized from the running cluster, so building without a
+    Ray session fails with a clear error instead of starting one."""
+    import ray
+
+    from oar_ocr_ray.pipelines.extract import build_extract_pipeline
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    with pytest.raises(RuntimeError, match="ray.init"):
+        build_extract_pipeline("docs.parquet", str(tmp_path))

@@ -293,3 +293,29 @@ def test_structure_bucket_count_mismatch_fails_loudly(ray_session, corpus):
     with pytest.raises(ValueError, match="bucket-count mismatch"):
         build_structure_pipeline(corpus["refs_path"], corpus["media_dir"],
                                  buckets=[0, 1], n_buckets=4)
+
+
+def test_corrupt_page_counted_and_skipped(tmp_path, monkeypatch):
+    """A corrupt page blob (bad header, cut header, cut IDAT stream) is
+    counted in missing_media and its page skipped; any other error from
+    decode is a bug and propagates."""
+    import pyarrow as pa
+
+    from oar_ocr_ray.png_codec import encode_png
+    from oar_ocr_ray.stages import structure_stage
+
+    png = encode_png(np.full((16, 16, 3), 255, np.uint8))
+    blobs = {"page://bad-header": b"\x89PNG-corrupt-" + bytes(8),
+             "page://cut-header": png[:10],
+             "page://cut-idat": png[: len(png) - 20]}
+    stage = structure_stage.StructureExtract(media_dir=str(tmp_path))
+    stage.store = blobs  # dict.get is the store's whole read surface
+    out = stage(pa.table({"media_ref": list(blobs)}))
+    assert out.num_rows == 0 and stage.missing_media == len(blobs)
+
+    def broken_decode(payload):
+        raise TypeError("decoder bug")
+
+    monkeypatch.setattr(structure_stage, "decode_png", broken_decode)
+    with pytest.raises(TypeError, match="decoder bug"):
+        stage(pa.table({"media_ref": ["page://bad-header"]}))

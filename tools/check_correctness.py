@@ -19,6 +19,8 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from oar_ocr_ray.queries import MIN_CLUSTER_CPUS  # noqa: E402
+
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
 ).split()
@@ -77,7 +79,10 @@ def main():
     only = set(sys.argv[2:])
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False,
+        # the oracle sweep checks results, not speed: the fewest CPUs the
+        # query library runs on, whatever the host shows
+        ray.init(address="local", num_cpus=MIN_CLUSTER_CPUS,
+                 include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR")
 
     import __ray_entry__ as entry_mod
