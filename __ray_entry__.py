@@ -59,7 +59,6 @@ def entry() -> Any:
     meta = _interleaved_corpus("/root/testdata/sf0.001")
     return build_extract_pipeline(
         meta["doc_files"], meta["media_dir"], n_parts=16,
-        det_concurrency=2, rec_concurrency=1,
     )
 
 
@@ -71,7 +70,6 @@ def _extract_interleaved(sf_dir: str) -> Any:
     meta = _interleaved_corpus(sf_dir)
     return build_extract_pipeline(
         meta["doc_files"], meta["media_dir"], n_parts=16,
-        det_concurrency=2, rec_concurrency=1,
     )
 
 

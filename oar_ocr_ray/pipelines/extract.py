@@ -14,9 +14,9 @@ interleaved text+media `documents` table:
 
 The model stages run as stateless tasks by default; stage_mode="actors"
 runs them as actor pools instead. Either way each model stage gets whole
-blocks by default, so no block is cut into small batches that are
-filtered, padded and concatenated again; in tasks mode the read then fuses
-into the map chain.
+blocks, so no block is cut into small batches that are filtered, padded
+and concatenated again; in tasks mode the read then fuses into the map
+chain.
 
 Scale properties: the read splits a shard into 2 blocks per CPU of the
 running cluster, so the number of tasks and sort partitions follows the
@@ -30,12 +30,13 @@ So each stage is called once per run of a block's rows holding at most
 table is yielded as it returns; text rows ride along, so a text-heavy
 block is still one call. Inside a call MediaDetect decodes at most
 `chunk_px` pixels at a time and Recognize runs wh-sorted
-`rec_session_batch` sub-batches. Decoded pixels never enter the shuffle
-(crops are dropped before the groupby); media payloads are point-lookups
-against the bucketed store, not a join; the only all-to-all exchange is
-keyed on `part` (crc32(doc_id) % n_parts), with media-heavy documents
-pre-balanced by the explode-to-crop-rows fan-out. Never materializes the
-dataset.
+`rec_session_batch` sub-batches through the recognition core the
+structure path shares (`Recognize.read_sorted`). Decoded pixels never
+enter the shuffle (crops are dropped before the groupby); media payloads
+are point-lookups against the bucketed store, not a join; the only
+all-to-all exchange is keyed on `part` (crc32(doc_id) % n_parts), with
+media-heavy documents pre-balanced by the explode-to-crop-rows fan-out.
+Never materializes the dataset.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ def build_extract_pipeline(
     n_parts: int = 64,
     det_concurrency: int = 4,
     rec_concurrency: int = 2,
-    det_batch_size: int | None = None,
-    rec_batch_size: int | None = None,
     stage_mode: str = "tasks",
     det_max_side: int = 4000,
     rec_model_input: bool = False,
@@ -73,10 +72,8 @@ def build_extract_pipeline(
     The read asks for 2 blocks per CPU of the running Ray cluster, so Ray
     must be initialised first (the caller owns the session). `n_parts` is
     the number of `part` keys the exchange groups by; it does not size
-    blocks. det_batch_size / rec_batch_size of None (the default) hand each
-    model stage whole blocks, which it works through in bounded runs
-    (`stages.media.bounded_runs`); an int cuts blocks into batches of that
-    many rows first.
+    blocks. Each model stage gets whole blocks (`batch_size=None`), which
+    it works through in bounded runs (`stages.media.bounded_runs`).
 
     stage_mode="tasks" (default): model stages run as stateless tasks with a
     per-worker cached stage instance — elastic parallelism on the warm
@@ -111,7 +108,7 @@ def build_extract_pipeline(
                                    "det_model_input": det_model_input,
                                    "rectify": rectify},
             batch_format="pyarrow",
-            batch_size=det_batch_size,
+            batch_size=None,
             concurrency=det_concurrency,
             num_cpus=1,
         )
@@ -120,7 +117,7 @@ def build_extract_pipeline(
             fn_constructor_args=(Recognize,),
             fn_constructor_kwargs={"model_input": rec_model_input},
             batch_format="pyarrow",
-            batch_size=rec_batch_size,
+            batch_size=None,
             concurrency=rec_concurrency,
             num_cpus=1,
         )
@@ -139,13 +136,13 @@ def build_extract_pipeline(
         ds = ds.map_batches(
             in_bounded_runs(det_stage, MediaDetect),
             batch_format="pyarrow",
-            batch_size=det_batch_size,
+            batch_size=None,
         )
         ds = ds.map_batches(
             in_bounded_runs(cached_stage(Recognize, model_input=rec_model_input),
                             Recognize),
             batch_format="pyarrow",
-            batch_size=rec_batch_size,
+            batch_size=None,
         )
     # combiner before the shuffle: pack per-doc partial span lists per block
     # so the all-to-all moves ~one row per doc, not one per span

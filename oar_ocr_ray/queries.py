@@ -79,6 +79,30 @@ def _p(sf_dir: str, table: str) -> str:
 MIN_CLUSTER_CPUS = 4
 
 
+def _require_cluster_cpus(query: str) -> None:
+    """Refuse, naming MIN_CLUSTER_CPUS, to start a query whose actor pool
+    or hash join would hold every CPU of a smaller running cluster and
+    hang. (The library never starts Ray itself; with no session there is
+    no cluster to size yet.)"""
+    import ray
+
+    if not ray.is_initialized():
+        return
+    cpus = ray.cluster_resources().get("CPU", 0)
+    if cpus < MIN_CLUSTER_CPUS:
+        raise RuntimeError(
+            f"{query} needs a Ray cluster of at least MIN_CLUSTER_CPUS="
+            f"{MIN_CLUSTER_CPUS} CPUs, this one has {cpus:g}: its actor pool "
+            "or hash join would hold the CPUs its reads need and never finish")
+
+
+def _agg_value(agg: dict | None, name: str) -> int | float:
+    """One column of a scalar `.aggregate()` result, 0 when it is NULL: Ray
+    returns None for an empty dataset and a None sum for all-null input,
+    and the oracle SQL reads both as 0 (COALESCE)."""
+    return (agg or {}).get(name) or 0
+
+
 def _n_parts() -> int:
     """Coarse-exchange partition count, scaled to the cluster: 2 tasks
     per CPU (straggler headroom), floor 64 so small test clusters still
@@ -241,7 +265,7 @@ def q6_revenue(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
     total = ds.map_batches(partial, batch_format="pandas").aggregate(Sum("rev", alias_name="revenue"))
-    return pd.DataFrame({"revenue": [round_half_away(float(total["revenue"] or 0) / 10000.0, 2)]})
+    return pd.DataFrame({"revenue": [round_half_away(float(_agg_value(total, "revenue")) / 10000.0, 2)]})
 
 
 Q6_SQL = """
@@ -309,6 +333,7 @@ def q5_nation_revenue(sf_dir: str):
     64 = 108 s — so partitions should track nodes, not cores. At real
     cluster scale each partition must also fit a worker's heap, which this
     policy preserves by growing with the cluster."""
+    _require_cluster_cpus("q5_nation_revenue")
     import ray
     import ray.data
     from ray.data.aggregate import Sum
@@ -1233,6 +1258,7 @@ def _sample_embedding_matrix(sf_dir: str, max_rows: int = 4096) -> np.ndarray:
 def ann_topk(sf_dir: str, k: int = 10, n_queries: int = 5):
     """Brute-force cosine top-k: broadcast query matrix, per-batch numpy
     matmul partials, tiny final reduce."""
+    _require_cluster_cpus("ann_topk")
     import ray
 
     from .functions.ann import BruteForceScorer, topk_reduce
@@ -1818,6 +1844,7 @@ def ann_lsh_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nbits: int = 8,
     scored only against their own bucket (approximate, shuffle-free).
     multiprobe=True widens each query's probe set with every 1-bit-flip
     neighbour bucket (Lv et al. 2007) — the recall lever."""
+    _require_cluster_cpus("ann_lsh_topk")
     import ray
 
     from .functions.ann import BruteForceScorer, HyperplaneLsh, topk_reduce, _normalize
@@ -2051,6 +2078,7 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.45, nbits: int = 4)
     computed per batch by a stateful signer (planes built ONCE in the actor
     constructor, not per batch), all-pairs verify only within buckets.
     Approximate: recall depends on nbits vs threshold angle."""
+    _require_cluster_cpus("embedding_near_dup_lsh")
     import pyarrow.parquet as pq
 
     from .functions.ann import HyperplaneLsh, _normalize, embedding_matrix
@@ -2450,6 +2478,7 @@ def ann_ivf_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nprobe: int = 3,
     The quantization makes the whole build SQL-reproducible; the structure
     (bounded fit + broadcast + per-batch assign + nprobe pruning) is the
     standard IVF scale path."""
+    _require_cluster_cpus("ann_ivf_topk")
     import ray
 
     from .functions.ann import (
@@ -4174,6 +4203,7 @@ def ann_pq_topk(sf_dir: str, k: int = 10, n_queries: int = 5, m_sub: int = 4,
     oracle (_pq_sql): every Lloyd step on the round6 grid, ADC sums in
     integer micro-units (order-independent), same DESC/vec_id tiebreaks.
     Quality vs the exact baseline is measured by ann_recall_pq."""
+    _require_cluster_cpus("ann_pq_topk")
     import ray
 
     from .functions.ann import PqAdcScorer, pq_parity_fit, quantized_unit, topk_reduce
@@ -4647,7 +4677,7 @@ def q17_small_quantity_revenue(sf_dir: str):
         .aggregate(Sum("cents", alias_name="cents"))
     )
     return pd.DataFrame({"avg_yearly": [
-        round_half_away(float(total["cents"] or 0) / 100.0 / 7.0, 2)]})
+        round_half_away(float(_agg_value(total, "cents")) / 100.0 / 7.0, 2)]})
 
 
 Q17_SQL = """
@@ -4686,7 +4716,7 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
 
     agg = cust.map_batches(pos_partial, batch_format="pandas").aggregate(
         Sum("s", alias_name="s"), Sum("c", alias_name="c"))
-    s_cents, cnt = int(agg["s"] or 0), int(agg["c"] or 0)
+    s_cents, cnt = int(_agg_value(agg, "s")), int(_agg_value(agg, "c"))
 
     def c_part(df: pd.DataFrame) -> pd.DataFrame:
         cents = np.rint(df["c_acctbal"].to_numpy() * 100).astype(np.int64)
@@ -5097,7 +5127,7 @@ def q19_disjunctive_revenue(sf_dir: str):
         .aggregate(Sum("c4", alias_name="c4"))
     )
     return pd.DataFrame({"revenue": [
-        round_half_away(float(total["c4"] or 0) / 10000.0, 2)]})
+        round_half_away(float(_agg_value(total, "c4")) / 10000.0, 2)]})
 
 
 Q19_SQL = f"""

@@ -21,6 +21,16 @@ graph (/root/reference/src/oarocr/ocr.rs:452-574):
 Both stages pass non-media rows through untouched so the whole pipeline is a
 single streaming pass (no re-read of the input for the text branch).
 
+The model boundaries both pipelines share live here too. Recognition has one
+core, `Recognize.read_sorted` (wh-sorted session sub-batches, greedy CTC
+decode, flipped retries grouped by tensor width); the structure path's
+`LineReader` only prepares crops for it. The page- and box-level wrappers
+(`DbDetector`, `LayoutDetector`, `OrientationClassifier`, `TableClassifier`,
+`CellDetector`, `RegionDetector`, `FormulaRecognizer`) share one
+`ModelBoundary`: the default stand-in session, the session tensor
+(`session_tensor`) and the clipped box crop; each keeps only its own
+post-processing.
+
 Media store: hash-bucketed parquet keyed by media_ref. Actors lazily load
 and LRU-cache whole buckets — the point-lookup pattern that replaces a
 shuffle join of image payloads (at production scale media_ref is a blob
@@ -39,10 +49,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ctc import ctc_greedy_decode, encode_ctc_logits
-from ..geometry import aabb_to_quad, get_rotate_crop_image
 from ..png_codec import DECODE_ERRORS, decode_png
 from ..sorting import sort_quad_boxes_indices
-from ..stubs import classify_orientation, correct_orientation, read_crop_text
+from ..stubs import classify_orientation, correct_orientation, read_line_text
 
 CROP_FIELDS = [
     ("crop", pa.binary()),
@@ -342,7 +351,51 @@ class SharedMediaStore:
         return self._tables[b]["png"][i].as_py() if i is not None else None
 
 
-class DbDetector:
+def session_tensor(imgs: list[np.ndarray]) -> np.ndarray:
+    """The normalized (B, 3, H, W) float32 tensor a model session takes:
+    equal-shape grayscale images through the fused gray_batch_tensor
+    (bit-identical to the general chain, one allocation), anything else
+    through normalize_image -> to_batch."""
+    from ..preprocess import gray_batch_tensor, normalize_image, to_batch
+
+    if all(a.ndim == 2 for a in imgs):
+        # a lone page is a view, not a copy
+        return gray_batch_tensor(imgs[0][None] if len(imgs) == 1 else np.stack(imgs))
+    return to_batch([normalize_image(a) for a in imgs])
+
+
+class ModelBoundary:
+    """What the page- and box-level model wrappers share: a `session`
+    (constructor arg; a production build passes an onnxruntime wrapper,
+    the default is the `STUB` stand-in from stubs.py), the tensor it takes
+    for one image, and the box crop the table and formula wrappers feed
+    it. Subclasses keep only their own post-processing."""
+
+    STUB = ""  # name of the stubs.py session class used when none is passed
+
+    def __init__(self, session=None, **stub_kwargs):
+        if session is None:
+            from .. import stubs
+
+            session = getattr(stubs, self.STUB)(**stub_kwargs)
+        self.session = session
+
+    def infer(self, img: np.ndarray):
+        """The session's output for one image, batch axis dropped."""
+        return self.session(session_tensor([img]))[0]
+
+    def infer_box(self, img: np.ndarray, box, prep=None):
+        """`infer` over img's crop inside `box` (clipped at the page
+        origin), after `prep` when given: (output, x0, y0), or None when
+        the crop is empty."""
+        x0, y0 = max(int(box[0]), 0), max(int(box[1]), 0)
+        crop = img[y0:int(box[3]), x0:int(box[2])]
+        if crop.size == 0:
+            return None
+        return self.infer(crop if prep is None else prep(crop)), x0, y0
+
+
+class DbDetector(ModelBoundary):
     """The detection model boundary as a standalone per-page callable —
     ONE det stack shared by the flagship MediaDetect and the structure
     pipeline (the reference reuses its DBModel in both, structure.rs +
@@ -352,14 +405,12 @@ class DbDetector:
     mixed-size batch would denormalize to mid-gray inside a real DB net's
     receptive field."""
 
+    STUB = "StubDbSession"
+
     def __init__(self, session=None, thresh: float = 0.3,
                  box_thresh: float = 0.6, unclip_ratio: float = 1.5,
                  max_candidates: int = 1000, score_mode: str = "slow"):
-        if session is None:
-            from ..stubs import StubDbSession
-
-            session = StubDbSession(unclip_ratio=unclip_ratio)
-        self.session = session
+        super().__init__(session, unclip_ratio=unclip_ratio)
         self.thresh = thresh
         self.box_thresh = box_thresh
         self.unclip_ratio = unclip_ratio
@@ -368,11 +419,8 @@ class DbDetector:
 
     def __call__(self, img: np.ndarray) -> np.ndarray:
         from ..geometry import db_boxes_from_bitmap
-        from ..preprocess import gray_batch_tensor, normalize_image, to_batch
 
-        tensor = (gray_batch_tensor(img[None]) if img.ndim == 2
-                  else to_batch([normalize_image(img)]))
-        prob = self.session(tensor)[0, 0]
+        prob = self.infer(img)[0]
         boxes, _scores = db_boxes_from_bitmap(
             prob[: img.shape[0], : img.shape[1]],
             thresh=self.thresh, box_thresh=self.box_thresh,
@@ -383,36 +431,29 @@ class DbDetector:
         return boxes
 
 
-class LayoutDetector:
+class LayoutDetector(ModelBoundary):
     """The LAYOUT-detection model boundary (reference PicoDet / RT-DETR
     layout adapters, pp_doclayout.rs + layout_detection_adapter.rs):
-    normalize_image -> to_batch -> `session` returns per-image (N, 6)
-    detections [label_code, score, x0, y0, x1, y1] (the post-NMS adapter
-    output shape) -> label-code map + score-threshold filter. A real
-    ONNX layout wrapper is the `session` constructor arg; the default
+    the page tensor -> `session` returns per-image (N, 6) detections
+    [label_code, score, x0, y0, x1, y1] (the post-NMS adapter output
+    shape) -> label-code map + score-threshold filter. The default
     StubLayoutSession reads the fixture block contract from the tensor.
     Stand-in deviation (documented, same as StubWarpRectifier): the model
     input is the page itself — a real RT-DETR resizes to its fixed input
     and maps boxes back by ratio; the deterministic tag-pixel contract
     doesn't survive a resize blend."""
 
-    def __init__(self, session=None, score_thresh: float = 0.5):
-        if session is None:
-            from ..stubs import StubLayoutSession
+    STUB = "StubLayoutSession"
 
-            session = StubLayoutSession()
-        self.session = session
+    def __init__(self, session=None, score_thresh: float = 0.5):
+        super().__init__(session)
         self.score_thresh = score_thresh
 
     def __call__(self, img: np.ndarray):
         from ..fixtures import LAYOUT_CODES
-        from ..preprocess import gray_batch_tensor, normalize_image, to_batch
 
-        dets = self.session(
-            gray_batch_tensor(img[None]) if img.ndim == 2
-            else to_batch([normalize_image(img)]))[0]
         boxes, labels, scores = [], [], []
-        for code, score, x0, y0, x1, y1 in dets:
+        for code, score, x0, y0, x1, y1 in self.infer(img):
             label = LAYOUT_CODES.get(int(code))
             if label is None or score < self.score_thresh:
                 continue
@@ -423,80 +464,52 @@ class LayoutDetector:
                 labels, np.asarray(scores))
 
 
-class OrientationClassifier:
+class OrientationClassifier(ModelBoundary):
     """Document-orientation model boundary (reference PP-LCNet 4-class
-    adapters): normalize_image -> to_batch -> `session` returns (B, 4)
-    class probabilities -> argmax (lowest class wins ties, the adapter's
-    first-max rule). A real PP-LCNet ONNX wrapper (with its own
-    resize-short/center-crop preprocess) is the `session` constructor
-    arg; the default StubOrientationSession reads the tag-pixel contract
-    and needs page-resolution input (documented stand-in deviation)."""
+    adapters): the page tensor -> `session` returns (B, 4) class
+    probabilities -> argmax (lowest class wins ties, the adapter's
+    first-max rule). A real PP-LCNet wrapper brings its own
+    resize-short/center-crop preprocess; the default
+    StubOrientationSession reads the tag-pixel contract and needs
+    page-resolution input (documented stand-in deviation)."""
 
-    def __init__(self, session=None):
-        if session is None:
-            from ..stubs import StubOrientationSession
-
-            session = StubOrientationSession()
-        self.session = session
+    STUB = "StubOrientationSession"
 
     def __call__(self, img: np.ndarray) -> int:
-        from ..preprocess import gray_batch_tensor, normalize_image, to_batch
-
-        probs = self.session(
-            gray_batch_tensor(img[None]) if img.ndim == 2
-            else to_batch([normalize_image(img)]))[0]
-        return int(np.argmax(probs))
+        return int(np.argmax(self.infer(img)))
 
 
-class TableClassifier:
+class TableClassifier(ModelBoundary):
     """Wired/wireless table-classification model boundary
     (table_classification.rs): normalized TABLE-CROP tensor ->
     `session` (B, 2) probabilities -> label."""
 
-    def __init__(self, session=None):
-        if session is None:
-            from ..stubs import StubTableClsSession
-
-            session = StubTableClsSession()
-        self.session = session
+    STUB = "StubTableClsSession"
 
     def __call__(self, img: np.ndarray, box) -> str:
-        from ..preprocess import gray_batch_tensor, normalize_image, to_batch
-
-        x0, y0 = max(int(box[0]), 0), max(int(box[1]), 0)
-        crop = img[y0:int(box[3]), x0:int(box[2])]
-        if crop.size == 0:
+        got = self.infer_box(img, box)
+        if got is None:
             return "wireless"
-        probs = self.session(
-            gray_batch_tensor(crop[None]) if crop.ndim == 2
-            else to_batch([normalize_image(crop)]))[0]
-        return "wired" if int(np.argmax(probs)) == 0 else "wireless"
+        return "wired" if int(np.argmax(got[0])) == 0 else "wireless"
 
 
-class CellDetector:
+class CellDetector(ModelBoundary):
     """Table-cell detection model boundary (RT-DETR cells,
     table_cell_detection_adapter.rs): normalized table-crop tensor ->
     `session` per-image (N, 6) detections in crop coords -> score filter
     -> map back to PAGE coordinates by the crop offset."""
 
-    def __init__(self, session=None, score_thresh: float = 0.5):
-        if session is None:
-            from ..stubs import StubCellDetSession
+    STUB = "StubCellDetSession"
 
-            session = StubCellDetSession()
-        self.session = session
+    def __init__(self, session=None, score_thresh: float = 0.5):
+        super().__init__(session)
         self.score_thresh = score_thresh
 
     def __call__(self, img: np.ndarray, box) -> np.ndarray:
-        from ..preprocess import gray_batch_tensor, normalize_image, to_batch
-
-        x0, y0 = max(int(box[0]), 0), max(int(box[1]), 0)
-        crop = img[y0:int(box[3]), x0:int(box[2])]
-        if crop.size == 0:
+        got = self.infer_box(img, box)
+        if got is None:
             return np.zeros((0, 4))
-        dets = self.session(
-            gray_batch_tensor(crop[None]) if crop.ndim == 2
-            else to_batch([normalize_image(crop)]))[0]
+        dets, x0, y0 = got
         keep = dets[:, 1] >= self.score_thresh if len(dets) else np.zeros(0, bool)
         cells = dets[keep, 2:].astype(np.float64)
         if len(cells):
@@ -505,59 +518,40 @@ class CellDetector:
         return cells
 
 
-class RegionDetector:
+class RegionDetector(ModelBoundary):
     """Region-block (container frame) model boundary (PP-DocBlockLayout,
     structure.rs detect_layout_and_regions): normalized page tensor ->
     `session` (N, 6) detections -> score filter -> (N, 4) boxes."""
 
-    def __init__(self, session=None, score_thresh: float = 0.5):
-        if session is None:
-            from ..stubs import StubRegionSession
+    STUB = "StubRegionSession"
 
-            session = StubRegionSession()
-        self.session = session
+    def __init__(self, session=None, score_thresh: float = 0.5):
+        super().__init__(session)
         self.score_thresh = score_thresh
 
     def __call__(self, img: np.ndarray) -> np.ndarray:
-        from ..preprocess import gray_batch_tensor, normalize_image, to_batch
-
-        dets = self.session(
-            gray_batch_tensor(img[None]) if img.ndim == 2
-            else to_batch([normalize_image(img)]))[0]
+        dets = self.infer(img)
         if not len(dets):
             return np.zeros((0, 4))
         return dets[dets[:, 1] >= self.score_thresh, 2:].astype(np.float64)
 
 
-class FormulaRecognizer:
+class FormulaRecognizer(ModelBoundary):
     """Formula-recognition model boundary (reference pp_formulanet.rs +
     unimernet_preprocess.rs): crop the formula block -> the REAL
     crop_margin kernel (min-max normalize, binarize, content bbox) ->
-    normalize_image -> to_batch -> `session` returns raw latex ->
-    (the stitch applies normalize_latex, the reference's decode ->
-    normalize path). Feeds the SEPARATE formula-result stream that
-    fill_formula_content merges by best-IoU (stitching.rs:232-251). A
-    real UniMERNet ONNX wrapper is the `session` constructor arg."""
+    the crop tensor -> `session` returns raw latex -> (the stitch applies
+    normalize_latex, the reference's decode -> normalize path). Feeds the
+    SEPARATE formula-result stream that fill_formula_content merges by
+    best-IoU (stitching.rs:232-251)."""
 
-    def __init__(self, session=None):
-        if session is None:
-            from ..stubs import StubFormulaSession
-
-            session = StubFormulaSession()
-        self.session = session
+    STUB = "StubFormulaSession"
 
     def __call__(self, img: np.ndarray, box) -> str:
-        from ..preprocess import crop_margin, gray_batch_tensor, \
-            normalize_image, to_batch
+        from ..preprocess import crop_margin
 
-        x0, y0 = max(int(box[0]), 0), max(int(box[1]), 0)
-        crop = img[y0:int(box[3]), x0:int(box[2])]
-        if crop.size == 0:
-            return ""
-        crop = crop_margin(crop)
-        return str(self.session(
-            gray_batch_tensor(crop[None]) if crop.ndim == 2
-            else to_batch([normalize_image(crop)]))[0])
+        got = self.infer_box(img, box, crop_margin)
+        return "" if got is None else str(got[0])
 
 
 class MediaDetect:
@@ -815,12 +809,10 @@ class LineReader:
     in both pipelines and feeds it wh-sorted region_batch_size batches
     (structure.rs:2140-2216), so `read_many` chains the SAME flagship
     policies per crop — white-margin trim, ImageRotationProcessor skew
-    gate (Recognize._maybe_unrotate) — then, with model_input=True, runs
-    the wh-SORTED crops through Recognize._session_logits in
-    ratio-homogeneous SUB-BATCHES of region_batch_size (reference default
-    8, constants.rs): rec preprocess chain -> rec_session -> REAL greedy
-    CTC decode, with empty decodes retried flipped 180° grouped by their
-    first-pass tensor width. A real ONNX CRNN wrapper drops in via
+    gate (Recognize._maybe_unrotate) — then, with model_input=True, hands
+    the wh-SORTED crops to the flagship's own recognition core,
+    Recognize.read_sorted, in SUB-BATCHES of region_batch_size (reference
+    default 8, constants.rs). A real ONNX CRNN wrapper drops in via
     rec_session exactly as in Recognize, and does one forward per
     sub-batch — never per crop."""
 
@@ -852,46 +844,18 @@ class LineReader:
         if not arrs:
             return texts
         if not self.model_input:
-            from ..stubs import read_line_text
-
             for i, a in arrs.items():
                 texts[i] = read_line_text(a)
             return texts
-        # model-boundary path: wh-sort, then sub-batches of
-        # region_batch_size whose tensor width is the sub-batch max
-        # wh_ratio (>= 1.0 floor), exactly the flagship Recognize scheme
-        # at the structure path's batch granularity
-        ratios = {i: float(np.float32(a.shape[1] / max(a.shape[0], 1)))
-                  for i, a in arrs.items()}
+        # the flagship recognition core at the structure path's batch
+        # granularity, wh-sorted by the post-trim ratio, tensor width
+        # floored at 1.0
+        ratios = {i: Recognize.wh_ratio(a) for i, a in arrs.items()}
         order = sorted(arrs, key=lambda i: (ratios[i], i))
-        cb = self.region_batch_size
-        maxwh_by: dict[int, float] = {}
-        decoded: dict[int, tuple] = {}
-        for c0 in range(0, len(order), cb):
-            chunk = order[c0:c0 + cb]
-            mw = max(1.0, max(ratios[i] for i in chunk))
-            lg = self._rec._session_logits([arrs[i] for i in chunk], mw)
-            for i, l in zip(chunk, lg):
-                decoded[i] = ctc_greedy_decode(l)
-                maxwh_by[i] = mw
-        # flipped 0/180 retries, batched per first-pass tensor width so
-        # each retry sub-batch is ONE session call at consistent geometry
-        retry: dict[float, list[int]] = {}
-        for i in order:
-            if not decoded[i][0]:
-                retry.setdefault(maxwh_by[i], []).append(i)
-        for mw, grp in retry.items():
-            for c0 in range(0, len(grp), cb):
-                chunk = grp[c0:c0 + cb]
-                lg = self._rec._session_logits(
-                    [np.ascontiguousarray(np.rot90(arrs[i], 2))
-                     for i in chunk], mw)
-                for i, l in zip(chunk, lg):
-                    d2 = ctc_greedy_decode(l)
-                    if d2[0]:
-                        decoded[i] = d2
-        for i in order:
-            texts[i] = decoded[i][0]
+        reads = self._rec.read_sorted(arrs, order, ratios,
+                                      self.region_batch_size, min_width=1.0)
+        for i, (decoded, _logits, _width) in reads.items():
+            texts[i] = decoded[0]
         return texts
 
 
@@ -995,30 +959,59 @@ class Recognize:
             return arr, 0, 0  # margin-free: zero-copy no-op
         return np.ascontiguousarray(arr[y0:y1, x0:x1]), y0, x0
 
+    @staticmethod
+    def wh_ratio(arr: np.ndarray) -> float:
+        """A crop's width / height, rounded like the stored float32
+        wh_ratio column (so margin-free crops match it bit for bit)."""
+        return float(np.float32(arr.shape[1] / max(arr.shape[0], 1)))
+
     def _session_logits(self, arrs: list[np.ndarray], max_wh: float) -> list[np.ndarray]:
         """Preprocess chain + one session call over a list of crops;
         returns per-item (T_i, C) logits (uniform (B, T, C) ndarrays from
         real sessions are split into rows)."""
-        from ..preprocess import gray_batch_tensor, normalize_image, \
-            ocr_resize_and_pad, to_batch
+        from ..preprocess import ocr_resize_and_pad
 
-        imgs = []
-        all_gray = True
-        for a in arrs:
-            padded, _ = ocr_resize_and_pad(
-                a, target_h=self.rec_target_h, max_wh_ratio=max_wh)
-            all_gray &= padded.ndim == 2
-            imgs.append(padded)
-        if all_gray:
-            # crops in a sub-batch share (target_h, tensor width): the
-            # fused grayscale tensor build (bit-identical, one allocation)
-            tensor = gray_batch_tensor(np.stack(imgs))
-        else:  # RGB callers: the general per-image chain
-            tensor = to_batch([normalize_image(p) for p in imgs])
-        logits = self.rec_session(tensor)
+        logits = self.rec_session(session_tensor([
+            ocr_resize_and_pad(a, target_h=self.rec_target_h, max_wh_ratio=max_wh)[0]
+            for a in arrs]))
         if isinstance(logits, np.ndarray):
             logits = [logits[i] for i in range(logits.shape[0])]
         return logits
+
+    def read_sorted(self, arrs: dict, order: list, ratios: dict,
+                    batch: int, min_width: float = 0.0) -> dict:
+        """The recognition loop of both pipelines (the reference's
+        region_batch_size loop, ocr.rs:733-740 and structure.rs:2140-2216):
+        the crops arrs[i], in the caller's wh-sorted `order`, run through
+        the session in sub-batches of `batch`. Each sub-batch's tensor
+        width is ITS max ratio, at least `min_width` (crnn.rs:70-77 is per
+        recognition batch), so padding stays proportional. Empty decodes
+        retry once flipped 180° (the 0/180 policy as a second session
+        call) at their FIRST-PASS tensor width, so geometry (and word
+        boxes) stay consistent with the sub-batch that first sized them,
+        GROUPED by that width so the flipped minority costs one session
+        call per retry sub-batch, not one per crop.
+
+        Returns {i: (greedy CTC decode, logits, tensor width)}."""
+        reads = {}
+        for c0 in range(0, len(order), batch):
+            chunk = order[c0:c0 + batch]
+            width = max(min_width, max(ratios[i] for i in chunk))
+            for i, lg in zip(chunk, self._session_logits([arrs[i] for i in chunk], width)):
+                reads[i] = (ctc_greedy_decode(lg), lg, width)
+        retry: dict[float, list] = {}
+        for i in order:
+            if not reads[i][0][0]:
+                retry.setdefault(reads[i][2], []).append(i)
+        for width, grp in retry.items():
+            for c0 in range(0, len(grp), batch):
+                chunk = grp[c0:c0 + batch]
+                flipped = [np.ascontiguousarray(np.rot90(arrs[i], 2)) for i in chunk]
+                for i, lg in zip(chunk, self._session_logits(flipped, width)):
+                    decoded = ctc_greedy_decode(lg)
+                    if decoded[0]:
+                        reads[i] = (decoded, lg, width)
+        return reads
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         has_crop = self.is_work(batch)
@@ -1043,13 +1036,10 @@ class Recognize:
         ws = crops["crop_w"].to_pylist()
 
         texts = [""] * len(blobs)
-        confs = np.zeros(len(blobs), dtype=np.float32)
         word_boxes: list[list[list[float]]] = [[] for _ in blobs]
         if self.emit_word_boxes:
             bx0 = crops["bx0"].to_numpy(zero_copy_only=False)
             by0 = crops["by0"].to_numpy(zero_copy_only=False)
-            bx1 = crops["bx1"].to_numpy(zero_copy_only=False)
-            by1 = crops["by1"].to_numpy(zero_copy_only=False)
         order_list = [int(j) for j in order]
         arrs: dict[int, np.ndarray] = {}
         trims: dict[int, tuple[int, int]] = {}
@@ -1062,69 +1052,23 @@ class Recognize:
             arrs[j] = self._maybe_unrotate(t)
             trims[j] = (ty, tx)
         # effective (post-trim) geometry drives the tensor width and the
-        # word-box math; computed with the same float32 rounding as the
-        # stored wh_ratio column so margin-free batches are bit-identical
-        ratios = {j: float(np.float32(arrs[j].shape[1] / max(arrs[j].shape[0], 1)))
-                  for j in order_list}
-        max_wh = max(ratios.values()) if ratios else 1.0  # crnn.rs:70-77
-        logits_by_j: dict[int, np.ndarray] = {}
-        maxwh_by_j: dict[int, float] = {}
+        # word-box math
+        ratios = {j: self.wh_ratio(arrs[j]) for j in order_list}
         if self.model_input:
-            # model-boundary path: the wh-SORTED crops run through the
-            # session in ratio-homogeneous SUB-BATCHES of rec_session_batch
-            # (the reference's region_batch_size recognition loop,
-            # ocr.rs:733-740): each sub-batch's tensor width is ITS max
-            # wh_ratio (crnn.rs:70-77 is per recognition batch), so
-            # padding stays proportional. Empty decodes retry once flipped
-            # (the 0/180 policy as a second session call).
-            cb = max(1, self.rec_session_batch)
-            for c0 in range(0, len(order_list), cb):
-                chunk = order_list[c0:c0 + cb]
-                mw = max(ratios[j] for j in chunk)
-                lg = self._session_logits([arrs[j] for j in chunk], mw)
-                for j, l in zip(chunk, lg):
-                    logits_by_j[j] = l
-                    maxwh_by_j[j] = mw
-            decoded = {j: ctc_greedy_decode(logits_by_j[j]) for j in order_list}
-            # flipped retries run at each crop's FIRST-PASS tensor width,
-            # so geometry (and word boxes) stay consistent with the
-            # sub-batch that first sized it — GROUPED by that width so the
-            # ~10% flipped minority costs one session call per retry
-            # sub-batch, not one per crop
-            retry_by_mw: dict[float, list[int]] = {}
-            for j in order_list:
-                if not decoded[j][0]:
-                    retry_by_mw.setdefault(maxwh_by_j[j], []).append(j)
-            for mw, grp in retry_by_mw.items():
-                for c0 in range(0, len(grp), cb):
-                    chunk = grp[c0:c0 + cb]
-                    lgs = self._session_logits(
-                        [np.ascontiguousarray(np.rot90(arrs[j], 2))
-                         for j in chunk], mw)
-                    for j, l2 in zip(chunk, lgs):
-                        d2 = ctc_greedy_decode(l2)
-                        if d2[0]:
-                            logits_by_j[j] = l2
-                            decoded[j] = d2
+            reads = self.read_sorted(arrs, order_list, ratios,
+                                     max(1, self.rec_session_batch))
         else:
+            max_wh = max(ratios.values())  # crnn.rs:70-77
+            reads = {}
             for j in order_list:
-                # text-line orientation stage (PP-LCNet 0/180 classes,
-                # text_line_orientation_adapter.rs), fused with the read:
-                # classify_line_orientation is "decodes upright?"; a failed
-                # upright read + successful half-turn read IS the 180 class,
-                # so one read doubles as classifier and recognizer input.
-                raw = read_crop_text(arrs[j])
-                if not raw:
-                    flipped = np.ascontiguousarray(np.rot90(arrs[j], 2))
-                    raw = read_crop_text(flipped)
-                logits_by_j[j] = encode_ctc_logits(raw)
+                # text-line orientation fused with the read (see
+                # stubs.read_line_text), re-encoded as logits so both
+                # paths share the decode and the word-box math below
+                logits = encode_ctc_logits(read_line_text(arrs[j]))
+                reads[j] = (ctc_greedy_decode(logits), logits, max_wh)
         for j in order_list:  # batch processed in wh-ratio order
-            logits = logits_by_j[j]
-            # tensor path already decoded during the retry scan — reuse
-            text, conf, cols = (decoded[j] if self.model_input
-                                else ctc_greedy_decode(logits))
+            (text, _conf, cols), logits, width = reads[j]
             texts[j] = text  # scatter back by original index (ocr.rs:797)
-            confs[j] = conf
             if self.emit_word_boxes and text:
                 from ..ctc import ctc_word_boxes
 
@@ -1138,9 +1082,9 @@ class Recognize:
                     (bx0[j] + tx, by0[j] + ty,
                      bx0[j] + tx + cw, by0[j] + ty + ch), text, cols,
                     seq_len=len(logits), wh_ratio=ratios[j],
-                    # tensor path: the SUB-BATCH max that sized this crop's
-                    # tensor; pixel path: the map_batches batch max
-                    max_wh_ratio=maxwh_by_j.get(j, max_wh),
+                    # tensor path: the SUB-BATCH width that sized this
+                    # crop's tensor; pixel path: the batch max
+                    max_wh_ratio=width,
                 )
                 word_boxes[j] = [list(map(float, b)) for b in wb]
 

@@ -52,6 +52,7 @@ from .media import (
     LineReader,
     MediaStore,
     OrientationClassifier,
+    Recognize,
     RegionDetector,
     SharedMediaStore,
     TableClassifier,
@@ -160,6 +161,25 @@ class StructureExtract:
 
 
 
+def content_boxes(img: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Det-seam line boxes shrunk to the dark content inside them, as
+    float64 [x0, y0, x1, y1]. The DB unclip leaves a white margin of about
+    a pixel around each line (no integer kernel depth inverts it exactly),
+    and one pixel is enough to move a stand-alone line in the enhanced
+    reading order (structure_seams seed 6, page://000038). The flagship
+    anchors its word boxes on the same trimmed box (Recognize._trim_white);
+    the pixel detector's boxes are content boxes already."""
+    out = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).copy()
+    h, w = img.shape[:2]
+    for b in out:
+        x0, y0 = max(int(b[0]), 0), max(int(b[1]), 0)
+        crop = img[y0:min(int(b[3]), h), x0:min(int(b[2]), w)]
+        if crop.size:
+            t, ty, tx = Recognize._trim_white(crop)
+            b[:] = (x0 + tx, y0 + ty, x0 + tx + t.shape[1], y0 + ty + t.shape[0])
+    return out
+
+
 def predict_structure_page(img: np.ndarray, min_line_area: int = 9,
                            return_elements: bool = False,
                            reader: LineReader | None = None,
@@ -190,7 +210,7 @@ def predict_structure_page(img: np.ndarray, min_line_area: int = 9,
     regions = (region_detector(img) if region_detector is not None
                else detect_region_blocks(img))
     if line_detector is not None:  # the shared flagship det seam
-        line_boxes = line_detector(img).astype(np.float64)
+        line_boxes = content_boxes(img, line_detector(img))
     else:
         line_boxes = detect_boxes(img, min_area=min_line_area).astype(np.float64)
 

@@ -292,8 +292,11 @@ class StubDbSession:
     by `delta = unclip_ratio * area / perimeter`, db_bitmap.rs:144-180).
     Per dark component this stub picks the erosion depth d whose unclip
     re-expansion best inverts it (|delta(eroded box) - d| minimal, the
-    deterministic analogue of a converged model + config pair), so final
-    boxes land within ~1 px of the true rects; the recognition side
+    deterministic analogue of a converged model + config pair) among the
+    kernels DBPostProcess keeps and re-grows back over the whole line
+    (delta > d - 0.5; a deeper kernel would come back inside the line and
+    cut its edge pixels). So final boxes cover the true rects and land
+    within ~1 px of them; the recognition side
     absorbs that margin exactly (read_crop_text's white-margin strip /
     Recognize's pre-resize trim). Components too small to carry a
     >= min_size kernel (e.g. the 1-px orientation tag) emit nothing —
@@ -314,6 +317,19 @@ class StubDbSession:
         self.mean = float((IMAGENET_MEAN if mean is None else mean)[0])
         self.std = float((IMAGENET_STD if std is None else std)[0])
 
+    def _depth_err(self, kw: int, kh: int, d: int) -> float | None:
+        """|delta - d| for a kw x kh kernel eroded d px deep, or None when
+        DBPostProcess would drop it (a side under min_size, or under
+        min_size + 2 after the unclip) or re-grow it to inside its line
+        (delta <= d - 0.5: the rounded box would lose a pixel on a side).
+        Every deeper kernel fails the same way."""
+        if min(kw, kh) < self.min_size:
+            return None
+        delta = self.unclip_ratio * kw * kh / (2.0 * (kw + kh))
+        if min(kw, kh) + 2 * delta < self.min_size + 2 or delta - d <= -0.5:
+            return None
+        return abs(delta - d)
+
     def _kernel(self, sub: np.ndarray) -> np.ndarray | None:
         """Best shrunk kernel for one component's mask slice, or None when
         no erosion depth yields a postprocess-surviving kernel. A depth
@@ -324,20 +340,15 @@ class StubDbSession:
         the analytically shrunk rect and can never split, so its best
         depth is closed-form — no erosion passes, no per-depth component
         counts (these dominated the det-session wall time)."""
-        r = self.unclip_ratio
         h, w = sub.shape
         if sub.all():  # exact rect: erosion by d = integer shrink by d
             best_d, best_err = None, np.inf
             for d in range(0, self.max_depth + 1):
-                ws, hs = w - 2 * d, h - 2 * d
-                if min(ws, hs) < self.min_size:
+                err = self._depth_err(w - 2 * d, h - 2 * d, d)
+                if err is None:
                     break
-                delta = r * ws * hs / (2.0 * (ws + hs))
-                err = abs(delta - d)
                 if err < best_err:
                     best_d, best_err = d, err
-                if delta - d < -1.5:
-                    break  # monotone decreasing: deeper only overshoots
             if best_d is None:
                 return None
             k = np.zeros_like(sub)
@@ -351,19 +362,15 @@ class StubDbSession:
         cur, d = sub, 0
         while cur.any() and d <= self.max_depth:
             ys, xs = np.nonzero(cur)
-            cw = int(xs.max() - xs.min()) + 1
-            ch = int(ys.max() - ys.min()) + 1
-            if min(cw, ch) < self.min_size:
-                break  # erosion only shrinks further — no candidate ahead
-            delta = r * cw * ch / (2.0 * (cw + ch))
-            err = abs(delta - d)
+            err = self._depth_err(int(xs.max() - xs.min()) + 1,
+                                  int(ys.max() - ys.min()) + 1, d)
+            if err is None:
+                break
             if err < (best_err if best_err is not None else np.inf):
                 ncomp = len(connected_component_boxes(
                     cur, min_area=1, max_candidates=2**62))
                 if ncomp == n0:
                     best, best_err = cur, err
-            if delta - d < -1.5:
-                break  # monotone decreasing: deeper erosion only overshoots
             cur = _erode1(cur)
             d += 1
         return best

@@ -165,3 +165,34 @@ def test_seal_detector_off_without_det_seam(seal_corpus):
 
     stage = StructureExtract(media_dir=seal_corpus["media_dir"])
     assert stage.seal_detector is None and stage.line_detector is None
+
+
+def test_model_boundaries_default_to_their_named_stub():
+    """Every page- and box-level wrapper builds its own stand-in session
+    when none is passed, and keeps a session it is given."""
+    from oar_ocr_ray.stages import media
+
+    wrappers = (media.DbDetector, media.LayoutDetector,
+                media.OrientationClassifier, media.TableClassifier,
+                media.CellDetector, media.RegionDetector,
+                media.FormulaRecognizer)
+    for cls in wrappers:
+        assert type(cls().session).__name__ == cls.STUB, cls.__name__
+        sentinel = object()
+        assert cls(session=sentinel).session is sentinel, cls.__name__
+    assert media.DbDetector(unclip_ratio=0.5).session.unclip_ratio == 0.5
+
+
+def test_box_level_boundaries_skip_empty_crops():
+    """A box that clips to no pixels never reaches the session."""
+    from oar_ocr_ray.stages import media
+
+    class Refuse:
+        def __call__(self, tensor):
+            raise AssertionError("session called on an empty crop")
+
+    page = np.full((40, 60), 255, dtype=np.uint8)
+    for box in ([10, 10, 10, 30], [-5, 50, 20, 60], [70, 5, 90, 20]):
+        assert media.TableClassifier(session=Refuse())(page, box) == "wireless"
+        assert media.CellDetector(session=Refuse())(page, box).shape == (0, 4)
+        assert media.FormulaRecognizer(session=Refuse())(page, box) == ""

@@ -30,7 +30,10 @@ def write_docs(tmp_path, rows, n_files=3):
     df = pd.DataFrame(rows)
     d = tmp_path / "sf" / "documents.parquet"
     os.makedirs(d, exist_ok=True)
-    for i, part in enumerate(np.array_split(df, n_files)):
+    # split the row index, not the frame: np.array_split(df) goes through
+    # the deprecated DataFrame.swapaxes (pandas FutureWarning)
+    for i, rows in enumerate(np.array_split(np.arange(len(df)), n_files)):
+        part = df.iloc[rows]
         pq.write_table(pa.Table.from_pandas(part.reset_index(drop=True)),
                        d / f"part{i}.parquet")
     return str(tmp_path / "sf")

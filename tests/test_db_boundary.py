@@ -173,3 +173,28 @@ def test_closed_form_unclip_equals_general_kernels():
         closed = np.array([x0 - delta, y0 - delta,
                            x0 + w + delta, y0 + h + delta])
         assert np.abs(general - closed).max() < 1e-9
+
+
+def test_stub_kernel_unclips_back_over_the_whole_line():
+    """The stand-in's kernel depth never leaves a line's final box inside
+    the line. A 46x9 line (structure_seams seed 6, page://000038) used to
+    get depth 3, whose 3x40 kernel the unclip re-grew by only 2.09 px:
+    the box came back 1 px inside on every side and reordered its page.
+    Depth 2 re-grows by 3.35 px, 1 px outside like every other line."""
+    from oar_ocr_ray.stages.media import DbDetector
+
+    page = np.full((200, 200), 255, dtype=np.uint8)
+    page[128:137, 54:100] = 0
+    assert DbDetector()(page).tolist() == [[53, 127, 101, 138]]
+    for ratio in (0.5, 1.5, 2.0):  # structure seal, default, general presets
+        sess = StubDbSession(unclip_ratio=ratio)
+        for h in range(5, 31):  # fixture lines are 8+ px tall
+            for w in range(h, 160, 5):
+                img = np.full((h + 40, w + 40), 255, dtype=np.uint8)
+                img[20:20 + h, 20:20 + w] = 0
+                boxes, _ = db_boxes_from_bitmap(
+                    _heat(img, sess), unclip_ratio=ratio, score_mode="slow")
+                assert len(boxes) == 1, (ratio, h, w)
+                x0, y0, x1, y1 = boxes[0]
+                assert x0 <= 20 and y0 <= 20, (ratio, h, w, boxes[0])
+                assert x1 >= 20 + w and y1 >= 20 + h, (ratio, h, w, boxes[0])

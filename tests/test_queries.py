@@ -134,3 +134,21 @@ def test_unimax_allocation_waterfill_invariants(ray_session):
         # capped sources' caps are all below the waterline
         assert (cap[~uncapped] <= w[0] + 1e-9).all()
     np.testing.assert_allclose(out["sample_rate"].to_numpy(), alloc / n)
+
+
+@pytest.mark.parametrize("name", [
+    "q5_nation_revenue", "ann_topk", "ann_lsh_topk", "embedding_near_dup_lsh",
+    "ann_ivf_topk", "ann_pq_topk"])
+def test_pool_queries_refuse_small_clusters(monkeypatch, name):
+    """A query whose actor pool or hash join would hold every CPU of a
+    cluster below MIN_CLUSTER_CPUS raises an error naming it, before any
+    Ray work starts, instead of hanging."""
+    import ray
+
+    from oar_ocr_ray import queries
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: {"CPU": queries.MIN_CLUSTER_CPUS - 1.0})
+    with pytest.raises(RuntimeError, match="MIN_CLUSTER_CPUS"):
+        getattr(queries, name)(SF_DIR)

@@ -18,7 +18,10 @@ import pytest
 def write_table(tmp_path, name, df, n_files=3):
     d = tmp_path / "sf" / f"{name}.parquet"
     os.makedirs(d, exist_ok=True)
-    for i, part in enumerate(np.array_split(df, n_files)):
+    # split the row index, not the frame: np.array_split(df) goes through
+    # the deprecated DataFrame.swapaxes (pandas FutureWarning)
+    for i, rows in enumerate(np.array_split(np.arange(len(df)), n_files)):
+        part = df.iloc[rows]
         pq.write_table(pa.Table.from_pandas(part.reset_index(drop=True)),
                        d / f"part{i}.parquet")
     return str(tmp_path / "sf")
@@ -215,6 +218,35 @@ def test_q19_branch_conjunctions(tmp_path):
     got = q19_disjunctive_revenue(d)
     assert_equal(got, oracle(d, Q19_SQL, ["lineitem", "part"]))
     assert float(got.revenue.iloc[0]) == 70.0
+
+
+@pytest.mark.parametrize("empty_result", [False, True])
+@pytest.mark.usefixtures("ray_session")
+def test_q19_no_matching_lines_reads_zero(tmp_path, monkeypatch, empty_result):
+    """No part in any branch and no lineitem rows: the query returns the
+    0.00 that the oracle's COALESCE(sum, 0) returns. The exchange then
+    emits no rows, and Ray's scalar aggregate reads {"c4": None} or, for
+    a dataset with no blocks at all, None itself (patched in here: a
+    parquet read always yields a block); neither may raise."""
+    import ray.data
+
+    from oar_ocr_ray.queries import Q19_SQL, q19_disjunctive_revenue
+
+    d = _world(tmp_path)
+    part = pd.DataFrame({
+        "p_partkey": np.array([1], dtype=np.int64), "p_name": ["p1"],
+        "p_brand": ["Brand#99"], "p_type": "PROMO",
+        "p_size": np.array([3], dtype=np.int32), "p_retailprice": 1.0})
+    write_table(tmp_path, "part", part, n_files=1)
+    write_table(tmp_path, "lineitem",
+                pd.DataFrame([_line(1, 1, "1996-01-01", 10.0, qty=5.0)]).iloc[:0],
+                n_files=1)
+    if empty_result:
+        monkeypatch.setattr(ray.data.Dataset, "aggregate", lambda self, *aggs: None)
+
+    got = q19_disjunctive_revenue(d)
+    assert_equal(got, oracle(d, Q19_SQL, ["lineitem", "part"]))
+    assert float(got.revenue.iloc[0]) == 0.0
 
 
 @pytest.mark.usefixtures("ray_session")
