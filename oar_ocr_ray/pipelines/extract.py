@@ -12,6 +12,10 @@ interleaved text+media `documents` table:
     -> groupby(part).map_groups(rebuild)       # THE shuffle: exact sequence reconstruction
     -> write_parquet(shard dir)                # committed per shard via manifest
 
+Everything before the exchange is `span_rows`, the one construction of
+the detect -> recognize chain; the media queries (`queries.ocr_word_boxes`,
+`queries.crop_aspect_buckets`) run it too.
+
 The model stages run as stateless tasks by default; stage_mode="actors"
 runs them as actor pools instead. Either way each model stage gets whole
 blocks, so no block is cut into small batches that are filtered, padded
@@ -48,12 +52,11 @@ import ray.data
 
 from ..stages.explode import make_explode_spans
 from ..stages.media import BoundedRunsActor, MediaDetect, Recognize
-from ..stages.reassemble import rebuild_partition
 from ..stages.text import strip_text_spans
 from ..state.checkpoint import read_output, run_sharded  # read_output: re-exported
 
 
-def build_extract_pipeline(
+def span_rows(
     doc_files: list[str] | str,
     media_dir: str,
     *,
@@ -66,14 +69,19 @@ def build_extract_pipeline(
     det_model_input: bool = False,
     rectify: bool = False,
     lance_reader=None,
+    emit_word_boxes: bool = False,
 ) -> "ray.data.Dataset":
-    """Build the lazy Dataset DAG (nothing executes until consumed).
+    """The lazy read -> explode -> strip -> MediaDetect -> Recognize chain:
+    one row per text span and per recognized line, before the exchange.
+    Both the extract pipeline and the media queries build it here.
 
     The read asks for 2 blocks per CPU of the running Ray cluster, so Ray
     must be initialised first (the caller owns the session). `n_parts` is
     the number of `part` keys the exchange groups by; it does not size
     blocks. Each model stage gets whole blocks (`batch_size=None`), which
     it works through in bounded runs (`stages.media.bounded_runs`).
+    MediaDetect reads media through the shared object-store buckets while
+    the corpus fits SHARED_MEDIA_MAX_BYTES, else through the lazy store.
 
     stage_mode="tasks" (default): model stages run as stateless tasks with a
     per-worker cached stage instance — elastic parallelism on the warm
@@ -86,7 +94,7 @@ def build_extract_pipeline(
 
     if not ray.is_initialized():
         raise RuntimeError(
-            "build_extract_pipeline sizes its read from the running Ray "
+            "the extract chain sizes its read from the running Ray "
             "cluster's CPUs: call ray.init() first")
     read_blocks = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     media_refs = _media_refs_for(media_dir)
@@ -99,55 +107,45 @@ def build_extract_pipeline(
     )
     ds = ds.map_batches(make_explode_spans(n_parts), batch_format="pyarrow")
     ds = ds.map_batches(strip_text_spans, batch_format="pyarrow")
+    det_kwargs = dict(media_dir=media_dir, media_refs=media_refs,
+                      det_max_side=det_max_side,
+                      det_model_input=det_model_input, rectify=rectify)
+    rec_kwargs = dict(model_input=rec_model_input, emit_word_boxes=emit_word_boxes)
     if stage_mode == "actors":
-        ds = ds.map_batches(
-            BoundedRunsActor,
-            fn_constructor_args=(MediaDetect,),
-            fn_constructor_kwargs={"media_dir": media_dir,
-                                   "det_max_side": det_max_side,
-                                   "det_model_input": det_model_input,
-                                   "rectify": rectify},
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=det_concurrency,
-            num_cpus=1,
-        )
-        ds = ds.map_batches(
-            BoundedRunsActor,
-            fn_constructor_args=(Recognize,),
-            fn_constructor_kwargs={"model_input": rec_model_input},
-            batch_format="pyarrow",
-            batch_size=None,
-            concurrency=rec_concurrency,
-            num_cpus=1,
-        )
-    else:
-        if media_refs is not None:
-            det_stage = cached_stage(
-                MediaDetect, media_refs=media_refs,
-                cache_token=(media_dir, det_model_input, rectify),
-                det_max_side=det_max_side, det_model_input=det_model_input,
-                rectify=rectify)
-        else:  # corpus too big to pin in the object store: lazy LRU lookups
-            det_stage = cached_stage(MediaDetect, media_dir=media_dir,
-                                     det_max_side=det_max_side,
-                                     det_model_input=det_model_input,
-                                     rectify=rectify)
-        ds = ds.map_batches(
-            in_bounded_runs(det_stage, MediaDetect),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        ds = ds.map_batches(
-            in_bounded_runs(cached_stage(Recognize, model_input=rec_model_input),
-                            Recognize),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
+        for stage, kwargs, concurrency in ((MediaDetect, det_kwargs, det_concurrency),
+                                           (Recognize, rec_kwargs, rec_concurrency)):
+            ds = ds.map_batches(
+                BoundedRunsActor,
+                fn_constructor_args=(stage,),
+                fn_constructor_kwargs=kwargs,
+                batch_format="pyarrow",
+                batch_size=None,
+                concurrency=concurrency,
+                num_cpus=1,
+            )
+        return ds
+    det_stage = cached_stage(
+        MediaDetect,
+        cache_token=(media_dir, media_refs is None, det_max_side,
+                     det_model_input, rectify),
+        **det_kwargs)
+    for stage, fn in ((MediaDetect, det_stage),
+                      (Recognize, cached_stage(Recognize, **rec_kwargs))):
+        ds = ds.map_batches(in_bounded_runs(fn, stage),
+                            batch_format="pyarrow", batch_size=None)
+    return ds
+
+
+def build_extract_pipeline(doc_files: list[str] | str, media_dir: str,
+                           **span_kwargs) -> "ray.data.Dataset":
+    """Build the lazy Dataset DAG (nothing executes until consumed): the
+    span rows of `span_rows` (whose keyword options it takes), packed per
+    doc and rebuilt by the groupby(part) exchange."""
     # combiner before the shuffle: pack per-doc partial span lists per block
     # so the all-to-all moves ~one row per doc, not one per span
     from ..stages.reassemble import merge_partials, pack_partial
 
+    ds = span_rows(doc_files, media_dir, emit_word_boxes=False, **span_kwargs)
     ds = ds.map_batches(pack_partial, batch_format="pyarrow")
     return ds.groupby("part").map_groups(merge_partials, batch_format="pyarrow")
 
@@ -199,8 +197,8 @@ _MEDIA_REFS_CACHE: dict[str, dict] = {}
 # store up front — a win while it fits (one parquet decode total, zero-copy
 # reads in every worker), an OOM at corpus scale. Above this budget the
 # pipeline falls back to the lazy per-actor LRU MediaStore (bounded memory,
-# point lookups against the bucketed store). Override via env for tests.
-SHARED_MEDIA_MAX_BYTES = int(os.environ.get("OAR_SHARED_MEDIA_MAX_BYTES", 2 << 30))
+# point lookups against the bucketed store).
+SHARED_MEDIA_MAX_BYTES = 2 << 30
 
 
 def _media_dir_bytes(media_dir: str) -> int:

@@ -26,8 +26,6 @@ def build_structure_pipeline(
     *,
     buckets: list[int] | None = None,
     n_buckets: int = 16,
-    n_blocks: int | None = None,
-    min_line_area: int = 9,
     rec_model_input: bool = False,
     det_model_input: bool = False,
     layout_model_input: bool = False,
@@ -43,7 +41,7 @@ def build_structure_pipeline(
     from ..stages.media import cached_stage
     from ..stages.structure_stage import StructureExtract
 
-    blocks = n_blocks if n_blocks else (len(buckets) if buckets else n_buckets)
+    blocks = len(buckets) if buckets else n_buckets
     flt = None
     if buckets is not None:
         # the manifest persists the bucket id as a column (bucket-sorted),
@@ -71,7 +69,6 @@ def build_structure_pipeline(
     )
     return ds.map_batches(
         cached_stage(StructureExtract, media_dir=media_dir,
-                     min_line_area=min_line_area,
                      rec_model_input=rec_model_input,
                      det_model_input=det_model_input,
                      layout_model_input=layout_model_input,

@@ -103,6 +103,16 @@ def _agg_value(agg: dict | None, name: str) -> int | float:
     return (agg or {}).get(name) or 0
 
 
+def _arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """A pandas UDF's output as an Arrow table of `schema`. Ray cannot size
+    a zero-row pandas block with string columns (it logs an error for
+    each), and an operator whose blocks switch between pandas and Arrow
+    logs a schema warning, so such UDFs hand Ray Arrow only. The pandas
+    metadata is dropped: Ray cannot hash a schema that carries it and
+    warns each time it unifies one."""
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False).replace_schema_metadata()
+
+
 def _n_parts() -> int:
     """Coarse-exchange partition count, scaled to the cluster: 2 tasks
     per CPU (straggler headroom), floor 64 so small test clusters still
@@ -1861,10 +1871,16 @@ def ann_lsh_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nbits: int = 8,
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     bucketed = ds.map_batches(lambda df: lsh(df), batch_format="pandas")
-    filtered = bucketed.map_batches(
-        lambda df: df[df["bucket"].isin(wanted)].drop(columns=["bucket"]),
-        batch_format="pandas",
-    )
+
+    def probed(df: pd.DataFrame):
+        # a block with no probed vector yields nothing: Ray cannot size a
+        # zero-row pandas block with the object `embedding` column (the
+        # query vectors' own buckets always keep some block non-empty)
+        kept = df[df["bucket"].isin(wanted)].drop(columns=["bucket"])
+        if len(kept):
+            yield kept
+
+    filtered = bucketed.map_batches(probed, batch_format="pandas")
     partials = filtered.map_batches(
         BruteForceScorer,
         fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
@@ -2128,17 +2144,14 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.45, nbits: int = 4)
 
 
 def _media_lines_ds(sf_dir: str, emit_word_boxes: bool = False):
-    """Detect+recognize chain over the interleaved corpus derived from this
-    sf_dir; yields recognized line rows with bboxes (media path only)."""
+    """The extract chain (pipelines.extract.span_rows) over the interleaved
+    corpus derived from this sf_dir, cut to its recognized line rows with
+    bboxes (media path only)."""
     import importlib.util as _il
 
-    import ray.data
     import pyarrow.compute as pc
 
-    from .stages.explode import make_explode_spans
-    from .stages.media import MediaDetect, Recognize, cached_stage
-    from .stages.text import strip_text_spans
-    from .pipelines.extract import _media_refs_for
+    from .pipelines.extract import span_rows
 
     spec = _il.spec_from_file_location(
         "_entry", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "__ray_entry__.py")
@@ -2146,22 +2159,7 @@ def _media_lines_ds(sf_dir: str, emit_word_boxes: bool = False):
     entry_mod = _il.module_from_spec(spec)
     spec.loader.exec_module(entry_mod)
     meta = entry_mod._interleaved_corpus(sf_dir)
-    refs = _media_refs_for(meta["media_dir"])
-    if refs is not None:
-        det_stage = cached_stage(MediaDetect, media_refs=refs, cache_token=meta["media_dir"])
-    else:
-        det_stage = cached_stage(MediaDetect, media_dir=meta["media_dir"])
-    ds = ray.data.read_parquet(meta["doc_files"], columns=["doc_id", "spans"])
-    ds = ds.map_batches(make_explode_spans(32), batch_format="pyarrow")
-    ds = ds.map_batches(strip_text_spans, batch_format="pyarrow")
-    ds = ds.map_batches(det_stage, batch_format="pyarrow", batch_size=64)
-    ds = ds.map_batches(
-        cached_stage(
-            Recognize, emit_word_boxes=emit_word_boxes,
-            cache_token=f"rec-wb={emit_word_boxes}",
-        ),
-        batch_format="pyarrow", batch_size=512,
-    )
+    ds = span_rows(meta["doc_files"], meta["media_dir"], emit_word_boxes=emit_word_boxes)
     return ds.map_batches(
         lambda t: t.filter(pc.and_(pc.equal(t["kind"], "image"), pc.is_valid(t["bx0"]))),
         batch_format="pyarrow",
@@ -4718,33 +4716,36 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
         Sum("s", alias_name="s"), Sum("c", alias_name="c"))
     s_cents, cnt = int(_agg_value(agg, "s")), int(_agg_value(agg, "c"))
 
-    def c_part(df: pd.DataFrame) -> pd.DataFrame:
+    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("seg", pa.string()),
+                       ("cents", pa.int64()), ("bp", pa.int32())])
+    per_seg = pa.schema([("seg", pa.string()), ("numcust", pa.int64()),
+                         ("cents", pa.int64())])
+
+    def c_part(df: pd.DataFrame) -> pa.Table:
         cents = np.rint(df["c_acctbal"].to_numpy() * 100).astype(np.int64)
         d = df[cents * cnt > s_cents]
         k = d["c_custkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(0),
-                             "seg": d["c_mktsegment"].astype(str),
-                             "cents": cents[cents * cnt > s_cents],
-                             "bp": _bpart(k)})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
+                                    "seg": d["c_mktsegment"].astype(str),
+                                    "cents": cents[cents * cnt > s_cents],
+                                    "bp": _bpart(k)}), sides)
 
-    def o_part(df: pd.DataFrame) -> pd.DataFrame:
+    def o_part(df: pd.DataFrame) -> pa.Table:
         d = df[df["o_totalprice"] > min_total]
         k = d["o_custkey"].drop_duplicates().to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(1), "seg": "",
-                             "cents": np.int64(0), "bp": _bpart(k)})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(1), "seg": "",
+                                    "cents": np.int64(0), "bp": _bpart(k)}), sides)
 
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
+    def anti(g: pd.DataFrame) -> pa.Table:
         c = g[g["side"] == 0]
         with_orders = set(g.loc[g["side"] == 1, "key"])
         d = c[~c["key"].isin(with_orders)]
         if len(d) == 0:
-            return pd.DataFrame({"seg": np.array([], dtype="U1"),
-                                 "numcust": np.array([], dtype=np.int64),
-                                 "cents": np.array([], dtype=np.int64)})
+            return per_seg.empty_table()
         agg = d.groupby("seg", sort=False)["cents"].agg(["count", "sum"])
-        return pd.DataFrame({"seg": agg.index.astype(str),
-                             "numcust": agg["count"].to_numpy(dtype=np.int64),
-                             "cents": agg["sum"].to_numpy(dtype=np.int64)})
+        return _arrow(pd.DataFrame({"seg": agg.index.astype(str),
+                                    "numcust": agg["count"].to_numpy(dtype=np.int64),
+                                    "cents": agg["sum"].to_numpy(dtype=np.int64)}), per_seg)
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         o_part, batch_format="pandas")
@@ -4798,42 +4799,43 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_3",
     supp_nation = dict(zip(supp["s_suppkey"], supp["s_nationkey"].map(nname)))
     cust_nation = dict(zip(cust["c_custkey"], cust["c_nationkey"].map(nname)))
     pair = {nation_a, nation_b}
+    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("nat", pa.string()),
+                       ("year", pa.int64()), ("c4", pa.int64()), ("bp", pa.int32())])
+    volumes = pa.schema([("supp_nation", pa.string()), ("cust_nation", pa.string()),
+                         ("l_year", pa.int64()), ("c4", pa.int64())])
 
-    def l_part(df: pd.DataFrame) -> pd.DataFrame:
+    def l_part(df: pd.DataFrame) -> pa.Table:
         sd = df["l_shipdate"].to_numpy()
         d = df[(sd >= lo) & (sd < hi)]
         sn = d["l_suppkey"].map(supp_nation)
         keep = sn.isin(pair).to_numpy()
         d, sn = d[keep], sn[keep]
         k = d["l_orderkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
+        return _arrow(pd.DataFrame({
             "key": k, "side": np.int8(1), "nat": np.asarray(sn, dtype=str),
             "year": d["l_shipdate"].dt.year.to_numpy(dtype=np.int64),
             "c4": rev_c4(d["l_extendedprice"], d["l_discount"]),
-            "bp": _bpart(k)})
+            "bp": _bpart(k)}), sides)
 
-    def o_part(df: pd.DataFrame) -> pd.DataFrame:
+    def o_part(df: pd.DataFrame) -> pa.Table:
         cn = df["o_custkey"].map(cust_nation)
         keep = cn.isin(pair).to_numpy()
         d, cn = df[keep], cn[keep]
         k = d["o_orderkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({
+        return _arrow(pd.DataFrame({
             "key": k, "side": np.int8(0), "nat": np.asarray(cn, dtype=str),
-            "year": np.int64(0), "c4": np.int64(0), "bp": _bpart(k)})
+            "year": np.int64(0), "c4": np.int64(0), "bp": _bpart(k)}), sides)
 
-    def vol(g: pd.DataFrame) -> pd.DataFrame:
+    def vol(g: pd.DataFrame) -> pa.Table:
         o, l = g[g["side"] == 0], g[g["side"] == 1]
         if len(o) == 0 or len(l) == 0:
-            return pd.DataFrame({"supp_nation": pd.Series(dtype=str),
-                                 "cust_nation": pd.Series(dtype=str),
-                                 "l_year": pd.Series(dtype="int64"),
-                                 "c4": pd.Series(dtype="int64")})
+            return volumes.empty_table()
         m = l[["key", "nat", "year", "c4"]].merge(
             o[["key", "nat"]], on="key", suffixes=("", "_c"))
         m = m[m["nat"].to_numpy() != m["nat_c"].to_numpy()]  # cross pairs
         agg = m.groupby(["nat", "nat_c", "year"], sort=False, as_index=False)["c4"].sum()
-        return agg.rename(columns={"nat": "supp_nation", "nat_c": "cust_nation",
-                                   "year": "l_year"})
+        return _arrow(agg.rename(columns={"nat": "supp_nation", "nat_c": "cust_nation",
+                                          "year": "l_year"}), volumes)
 
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_suppkey", "l_shipdate",

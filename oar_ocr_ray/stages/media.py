@@ -173,17 +173,18 @@ class MediaStore:
     Worker heap holds only a small ref->row index per cached bucket, never
     payload copies — the earlier per-worker dict-of-bytes cache duplicated
     the whole corpus per worker and collapsed at 3x bench scale. The
-    directory LRU-drops old ObjectRefs past `max_bytes` so plasma can
-    evict; workers keep an LRU of at most `max_cached_buckets` table
+    directory LRU-drops old ObjectRefs past its `MAX_BYTES` so plasma can
+    evict; workers keep an LRU of at most `MAX_CACHED_BUCKETS` table
     handles. This is the single-node analogue of a node-local blob cache
     over object storage.
 
     Only (media_ref, png) is ever read — ground-truth columns stay unread.
     """
 
-    def __init__(self, media_dir: str, max_cached_buckets: int = 64):
+    MAX_CACHED_BUCKETS = 64
+
+    def __init__(self, media_dir: str):
         self.media_dir = media_dir
-        self.max_cached = max_cached_buckets
         self._files = sorted(
             f for f in os.listdir(media_dir) if f.endswith(".parquet")
         )
@@ -227,7 +228,7 @@ class MediaStore:
         t = ray.get(ray.get(self._directory().get_ref.remote(fname, stamp)))
         self._tables[fname] = t
         self._index[fname] = {r: i for i, r in enumerate(t["media_ref"].to_pylist())}
-        if len(self._tables) > self.max_cached:
+        if len(self._tables) > self.MAX_CACHED_BUCKETS:
             old, _ = self._tables.popitem(last=False)
             self._index.pop(old, None)
         return t, self._index[fname]
@@ -258,11 +259,12 @@ class MediaBucketDirectory:
     rewritten bucket file is re-read, not served stale.
     """
 
-    def __init__(self, media_dir: str, max_bytes: int = 8 << 30):
+    MAX_BYTES = 8 << 30
+
+    def __init__(self, media_dir: str):
         import threading
 
         self.media_dir = media_dir
-        self.max_bytes = max_bytes
         self._refs: OrderedDict[str, tuple] = OrderedDict()  # fname -> (stamp, ref)
         self._sizes: dict[str, int] = {}
         self._total = 0
@@ -300,7 +302,7 @@ class MediaBucketDirectory:
                 self._refs[fname] = (tuple(stamp), ref)
                 self._sizes[fname] = size
                 self._total += size
-                while self._total > self.max_bytes and len(self._refs) > 1:
+                while self._total > self.MAX_BYTES and len(self._refs) > 1:
                     old, _ = self._refs.popitem(last=False)
                     self._total -= self._sizes.pop(old)
             return ref
@@ -407,15 +409,14 @@ class DbDetector(ModelBoundary):
 
     STUB = "StubDbSession"
 
+    # db_postprocess.rs:67-88 defaults; the seal preset overrides only the
+    # thresholds and the unclip ratio
     def __init__(self, session=None, thresh: float = 0.3,
-                 box_thresh: float = 0.6, unclip_ratio: float = 1.5,
-                 max_candidates: int = 1000, score_mode: str = "slow"):
+                 box_thresh: float = 0.6, unclip_ratio: float = 1.5):
         super().__init__(session, unclip_ratio=unclip_ratio)
         self.thresh = thresh
         self.box_thresh = box_thresh
         self.unclip_ratio = unclip_ratio
-        self.max_candidates = max_candidates
-        self.score_mode = score_mode
 
     def __call__(self, img: np.ndarray) -> np.ndarray:
         from ..geometry import db_boxes_from_bitmap
@@ -425,8 +426,11 @@ class DbDetector(ModelBoundary):
             prob[: img.shape[0], : img.shape[1]],
             thresh=self.thresh, box_thresh=self.box_thresh,
             unclip_ratio=self.unclip_ratio,
-            max_candidates=self.max_candidates,
-            score_mode=self.score_mode,
+            max_candidates=1000,  # db_postprocess.rs:81
+            # ScoreMode::Slow (db_score.rs): the fixture corpus renders
+            # skewed lines whose rotated bands fill little of their AABB,
+            # and fast (AABB-mean) scoring under-rates them
+            score_mode="slow",
         )
         return boxes
 
@@ -575,20 +579,11 @@ class MediaDetect:
         self,
         media_dir: str | None = None,
         media_refs: dict | None = None,
-        min_area: int = 9,
-        max_cached_buckets: int = 64,
         report_original_frame: bool = False,
         chunk_px: int = 16_000_000,  # decoded-page buffer bound (~16 MB gray)
         det_max_side: int = 4000,  # DetResizeForTest max_side_limit (constants.rs)
         det_model_input: bool = False,
         det_session=None,
-        det_db_thresh: float = 0.3,  # db_postprocess.rs:79 defaults
-        det_db_box_thresh: float = 0.6,
-        det_unclip_ratio: float = 1.5,
-        det_max_candidates: int = 1000,
-        det_score_mode: str = "slow",  # ScoreMode::Slow (db_score.rs): the
-        # fixture corpus renders skewed lines whose rotated bands fill
-        # little of their AABB — fast (AABB-mean) scoring under-rates them
         rectify: bool = False,
         rectifier=None,
         orient_model_input: bool = False,
@@ -597,8 +592,7 @@ class MediaDetect:
         if media_refs is not None:
             self.store = SharedMediaStore(media_refs)
         else:
-            self.store = MediaStore(media_dir, max_cached_buckets)
-        self.min_area = min_area
+            self.store = MediaStore(media_dir)
         self.missing_media = 0  # lost blobs skipped, not fatal (ocr.rs:510-523 precedent)
         # reference contract (ocr.rs:814 rotate_text_regions_back): report
         # boxes in the STORED image frame. The graft invariant compares in
@@ -608,10 +602,7 @@ class MediaDetect:
         self.det_max_side = det_max_side
         self.det_model_input = det_model_input
         if det_model_input or det_session is not None:
-            self.det_detector = DbDetector(
-                session=det_session, thresh=det_db_thresh,
-                box_thresh=det_db_box_thresh, unclip_ratio=det_unclip_ratio,
-                max_candidates=det_max_candidates, score_mode=det_score_mode)
+            self.det_detector = DbDetector(session=det_session)
         else:
             self.det_detector = None
         # optional UVDoc-style rectification after orientation (reference
@@ -728,7 +719,7 @@ class MediaDetect:
             # chain -> session heatmap -> real DB postprocess) per page
             box_lists = [self.det_detector(p[0]) for p in det_pairs]
         else:
-            box_lists = detect_boxes_batch([p[0] for p in det_pairs], min_area=self.min_area)
+            box_lists = detect_boxes_batch([p[0] for p in det_pairs])
         for boxes, (_, (ry, rx)), img in zip(box_lists, det_pairs, imgs):
             if len(boxes) and (ry, rx) != (1.0, 1.0):
                 # back to the original frame: floor/ceil so the mapped box
@@ -811,17 +802,15 @@ class LineReader:
     policies per crop — white-margin trim, ImageRotationProcessor skew
     gate (Recognize._maybe_unrotate) — then, with model_input=True, hands
     the wh-SORTED crops to the flagship's own recognition core,
-    Recognize.read_sorted, in SUB-BATCHES of region_batch_size (reference
-    default 8, constants.rs). A real ONNX CRNN wrapper drops in via
-    rec_session exactly as in Recognize, and does one forward per
-    sub-batch — never per crop."""
+    Recognize.read_sorted, in SUB-BATCHES of REGION_BATCH_SIZE. A real
+    ONNX CRNN wrapper drops in via rec_session exactly as in Recognize,
+    and does one forward per sub-batch — never per crop."""
 
-    def __init__(self, model_input: bool = False, rec_session=None,
-                 rec_target_h: int = 48, region_batch_size: int = 8):
-        self._rec = Recognize(model_input=model_input, rec_session=rec_session,
-                              rec_target_h=rec_target_h)
+    REGION_BATCH_SIZE = 8  # the reference's structure default (constants.rs)
+
+    def __init__(self, model_input: bool = False, rec_session=None):
+        self._rec = Recognize(model_input=model_input, rec_session=rec_session)
         self.model_input = model_input
-        self.region_batch_size = max(1, region_batch_size)
 
     def read(self, crop: np.ndarray) -> str:
         return self.read_many([crop])[0]
@@ -853,7 +842,7 @@ class LineReader:
         ratios = {i: Recognize.wh_ratio(a) for i, a in arrs.items()}
         order = sorted(arrs, key=lambda i: (ratios[i], i))
         reads = self._rec.read_sorted(arrs, order, ratios,
-                                      self.region_batch_size, min_width=1.0)
+                                      self.REGION_BATCH_SIZE, min_width=1.0)
         for i, (decoded, _logits, _width) in reads.items():
             texts[i] = decoded[0]
         return texts
@@ -864,7 +853,8 @@ class Recognize:
 
     Holds the charset/decoder state (the reference loads the char dict once
     per session, ocr.rs:214-223); processes each batch wh-ratio-sorted and
-    scatters results back by original batch position.
+    scatters results back by original batch position. Crops that read
+    empty are dropped (the reference's empty-prediction filter).
 
     emit_word_boxes=True additionally computes per-character boxes from the
     REAL CTC column indices (ocr.rs:862-933 ctc_word_boxes): batch
@@ -875,21 +865,20 @@ class Recognize:
     model_input=True routes every crop through the REAL model-boundary
     preprocess chain (crnn.rs:61-118): ocr_resize_and_pad to the batch
     max_wh_ratio tensor width -> normalize_image -> to_batch, then feeds
-    the (B, 3, 48, W) float32 tensor to `rec_session` (constructor arg; a
-    production build passes an onnxruntime wrapper, default is the
-    tensor-decoding StubCtcSession). Items the session reads as empty are
-    retried once with the crop rotated 180° — the fused text-line
-    orientation policy of the pixel path, expressed as a second session
-    call on the flipped sub-batch.
+    the (B, 3, 48, W) float32 tensor (height from the reference's rec
+    image shape, preprocess.DEFAULT_REC_SHAPE) to `rec_session`
+    (constructor arg; a production build passes an onnxruntime wrapper,
+    default is the tensor-decoding StubCtcSession). Items the session
+    reads as empty are retried once with the crop rotated 180° — the fused
+    text-line orientation policy of the pixel path, expressed as a second
+    session call on the flipped sub-batch.
     """
 
-    def __init__(self, drop_empty: bool = True, emit_word_boxes: bool = False,
+    def __init__(self, emit_word_boxes: bool = False,
                  model_input: bool = False, rec_session=None,
-                 rec_target_h: int = 48, rec_session_batch: int = 32):
-        self.drop_empty = drop_empty
+                 rec_session_batch: int = 32):
         self.emit_word_boxes = emit_word_boxes
         self.model_input = model_input
-        self.rec_target_h = rec_target_h
         # session sub-batch size (the reference's region_batch_size; docs
         # recommend 32 medium / 16 low VRAM — constants.rs + ocr.rs:740).
         # Every tensor in a sub-batch is padded to the sub-batch max
@@ -972,7 +961,7 @@ class Recognize:
         from ..preprocess import ocr_resize_and_pad
 
         logits = self.rec_session(session_tensor([
-            ocr_resize_and_pad(a, target_h=self.rec_target_h, max_wh_ratio=max_wh)[0]
+            ocr_resize_and_pad(a, max_wh_ratio=max_wh)[0]
             for a in arrs]))
         if isinstance(logits, np.ndarray):
             logits = [logits[i] for i in range(logits.shape[0])]
@@ -1100,7 +1089,6 @@ class Recognize:
             rec = rec.append_column(
                 "word_boxes", pa.array(word_boxes, type=pa.list_(pa.list_(pa.float32())))
             )
-        if self.drop_empty:
-            rec = rec.filter(pc.invert(pc.equal(rec["text"], "")))
+        rec = rec.filter(pc.invert(pc.equal(rec["text"], "")))
         rec = rec.select(passthrough.column_names).cast(passthrough.schema)
         return pa.concat_tables([passthrough, rec])

@@ -54,7 +54,6 @@ from .media import (
     OrientationClassifier,
     Recognize,
     RegionDetector,
-    SharedMediaStore,
     TableClassifier,
 )
 
@@ -68,8 +67,7 @@ class StructureExtract:
     real CRNN wrapper drops into BOTH pipelines via the same constructor
     surface (reference structure.rs:2140-2216 runs one rec stack)."""
 
-    def __init__(self, media_dir: str | None = None, media_refs: dict | None = None,
-                 min_line_area: int = 9, rec_model_input: bool = False,
+    def __init__(self, media_dir: str, rec_model_input: bool = False,
                  rec_session=None, det_model_input: bool = False,
                  det_session=None, layout_model_input: bool = False,
                  layout_session=None, aux_model_input: bool = False,
@@ -77,11 +75,7 @@ class StructureExtract:
                  cell_session=None, region_session=None,
                  formula_model_input: bool = False, formula_session=None,
                  seal_session=None):
-        if media_refs is not None:
-            self.store = SharedMediaStore(media_refs)
-        else:
-            self.store = MediaStore(media_dir)
-        self.min_line_area = min_line_area
+        self.store = MediaStore(media_dir)
         self.missing_media = 0
         self.reader = LineReader(model_input=rec_model_input,
                                  rec_session=rec_session)
@@ -132,8 +126,7 @@ class StructureExtract:
             # corrupt blob: skip like missing media, never abort the run
             self.missing_media += 1
             return None
-        out = predict_structure_page(img, min_line_area=self.min_line_area,
-                                     reader=self.reader,
+        out = predict_structure_page(img, reader=self.reader,
                                      line_detector=self.line_detector,
                                      seal_detector=self.seal_detector,
                                      layout_detector=self.layout_detector,
@@ -180,7 +173,7 @@ def content_boxes(img: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_structure_page(img: np.ndarray, min_line_area: int = 9,
+def predict_structure_page(img: np.ndarray,
                            return_elements: bool = False,
                            reader: LineReader | None = None,
                            line_detector=None,
@@ -212,7 +205,7 @@ def predict_structure_page(img: np.ndarray, min_line_area: int = 9,
     if line_detector is not None:  # the shared flagship det seam
         line_boxes = content_boxes(img, line_detector(img))
     else:
-        line_boxes = detect_boxes(img, min_area=min_line_area).astype(np.float64)
+        line_boxes = detect_boxes(img).astype(np.float64)
 
     # cross-layout re-recognition split (structure.rs:2017-2108):
     # containers = region blocks when detected, else layout blocks with

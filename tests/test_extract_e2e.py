@@ -304,6 +304,35 @@ def test_actors_stage_mode_matches_golden(ray_session, corpus):
     assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
 
 
+def test_media_over_the_shared_budget_runs_on_the_lazy_store(
+        ray_session, corpus, tmp_path, monkeypatch):
+    """A media corpus over SHARED_MEDIA_MAX_BYTES is not put into the
+    object store: MediaDetect reads it through the lazy MediaStore, whose
+    workers create the media directory's named actor, and the output
+    still matches the golden. The media is copied to a fresh directory so
+    no earlier test has made that actor."""
+    import shutil
+
+    import ray
+
+    from oar_ocr_ray.pipelines import extract
+
+    media_dir = str(tmp_path / "media")
+    shutil.copytree(corpus["media_dir"], media_dir)
+    monkeypatch.setattr(extract, "SHARED_MEDIA_MAX_BYTES", 0)
+    monkeypatch.setattr(extract, "_MEDIA_REFS_CACHE", {})
+
+    def directory_actors():
+        return {a for a in ray.util.list_named_actors()
+                if a.startswith("oar_media_dir_")}
+
+    before = directory_actors()
+    ds = build_extract_pipeline(corpus["doc_files"], media_dir, n_parts=8)
+    assert extract._MEDIA_REFS_CACHE == {media_dir: None}
+    assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
+    assert len(directory_actors() - before) == 1
+
+
 def test_corrupt_media_payload_skipped_not_fatal(ray_session, corpus, tmp_path):
     """A corrupt PNG blob (truncated upload / bit rot — inevitable at scale)
     must degrade to an empty-media span set for the affected docs, exactly

@@ -75,24 +75,6 @@ def test_decoder_rejects_garbage_and_truncation():
 
 
 # ---------------------------------------------------------------------------
-# WAV codec (lossless PCM: exact roundtrip)
-# ---------------------------------------------------------------------------
-
-def test_wav_roundtrip_exact():
-    from oar_ocr_ray.wav_codec import decode_wav, encode_wav
-
-    rng = np.random.default_rng(9)
-    mono = rng.integers(-32768, 32767, 1000, dtype=np.int16)
-    s, rate = decode_wav(encode_wav(mono, 8000))
-    assert rate == 8000 and s.shape == (1000, 1) and (s[:, 0] == mono).all()
-    stereo = rng.integers(-32768, 32767, (500, 2), dtype=np.int16)
-    s, rate = decode_wav(encode_wav(stereo, 44100))
-    assert rate == 44100 and (s == stereo).all()
-    with pytest.raises(ValueError):
-        decode_wav(b"RIFFxxxx")
-
-
-# ---------------------------------------------------------------------------
 # Color (multi-component) JPEG: 4:4:4 and 4:2:0
 # ---------------------------------------------------------------------------
 

@@ -273,21 +273,10 @@ def test_asof_join_matches_per_user_bruteforce(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# Codec properties (hypothesis): lossless roundtrips exact, lossy bounded
+# Codec properties (hypothesis): lossy roundtrips bounded
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings, strategies as st
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
-def test_wav_roundtrip_property(n, ch, seed):
-    from oar_ocr_ray.wav_codec import decode_wav, encode_wav
-
-    rng = np.random.default_rng(seed)
-    s = rng.integers(-32768, 32767, (n, min(ch, 2)), dtype=np.int16)
-    out, rate = decode_wav(encode_wav(s, 22050))
-    assert rate == 22050 and (out == s).all()
 
 
 @settings(max_examples=15, deadline=None)
