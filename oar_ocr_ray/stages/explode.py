@@ -13,9 +13,9 @@ survives all shuffles so the exact sequence can be rebuilt (SURVEY.md §7
 offset=-1) guarantees documents whose spans all get filtered still appear in
 the output with an empty span list.
 
-`part` = crc32(doc_id) % n_parts is THE partitioning key of the pipeline:
-reused by the reassembly groupby so only one all-to-all exchange is keyed on
-it. crc32 is stable across processes (python hash() is salted).
+`part` = crc32(doc_id) % n_parts is a column no stage reads any more: the
+extract chain rebuilds each call's documents in place, with no exchange.
+It and `n_parts` stay only while perfbench still passes `n_parts`.
 """
 
 from __future__ import annotations

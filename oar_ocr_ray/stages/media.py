@@ -1,7 +1,8 @@
-"""Media path: decode -> orient -> detect -> crop (actor) and recognize (actor).
+"""Media path: decode -> orient -> detect -> crop, then recognize.
 
-Two stateful actor-pool `map_batches` stages mirroring the reference stage
-graph (/root/reference/src/oarocr/ocr.rs:452-574):
+Two stateful stages, called in bounded runs (`bounded_runs`) inside the
+extract chain's one map operator, mirroring the reference stage graph
+(reference src/oarocr/ocr.rs:452-574):
 
   MediaDetect  — per image: fetch bytes by media_ref from the bucketed media
                  store, PNG-decode, orientation classify + inverse rotate
@@ -9,8 +10,7 @@ graph (/root/reference/src/oarocr/ocr.rs:452-574):
                  them (sorting.rs:35-84) and emit one CROP ROW per detection
                  via the perspective-crop path (transform.rs:74-190). The
                  explode-to-crop-rows fan-out is the det->rec edge
-                 (ocr.rs:641 crop_text_regions), which also load-balances
-                 media-heavy documents across the cluster.
+                 (ocr.rs:641 crop_text_regions).
 
   Recognize    — per batch: sort crops by wh_ratio ascending (padding
                  efficiency, ocr.rs:733-737), decode each crop to CTC logits
@@ -18,7 +18,7 @@ graph (/root/reference/src/oarocr/ocr.rs:452-574):
                  run the REAL greedy CTC decoder, then scatter results back
                  to detection order (ocr.rs:797).
 
-Both stages pass non-media rows through untouched so the whole pipeline is a
+Both stages pass non-media rows through untouched so the whole chain is a
 single streaming pass (no re-read of the input for the text branch).
 
 The model boundaries both pipelines share live here too. Recognition has one
@@ -81,8 +81,7 @@ def cached_stage(cls, **kwargs):
     init cost lands inside the job), while plain tasks reuse the warm
     worker pool and scale elastically with available CPUs. For cheap state
     (this stub's store handle, compiled regexes) tasks-with-cached-instance
-    wins; for heavyweight state (an ONNX session pinned to fixed resources)
-    actor pools win — build_extract_pipeline exposes both via stage_mode.
+    wins, and the extract chain builds its model stages this way.
     """
     cache_token = kwargs.pop("cache_token", None)
     if cache_token is None:
@@ -115,43 +114,32 @@ def cached_stage(cls, **kwargs):
     return fn
 
 
-def bounded_runs(batch: pa.Table, stage) -> list[pa.Table]:
-    """Cut `batch` into runs of consecutive rows, each holding at most
-    `stage.WORK_PER_CALL` of the rows `stage.is_work` selects; a batch with
-    no more than that comes back whole.
+def bounded_runs(tables, stage):
+    """Cut a stream of tables into runs of consecutive rows, each holding at
+    most `stage.WORK_PER_CALL` of the rows `stage.is_work` selects, and
+    yield each run once it is whole. The cuts fall where they would in the
+    concatenated stream, so a stream with no more work rows than that
+    comes back as one run.
 
     A model-stage call keeps what it makes for every row it works on until
     it returns (MediaDetect its crops, Recognize its CTC logits), so a call
     over a whole block would grow with the block. Rows the stage passes
     through ride along in whichever run holds them, so a text-heavy block
     is still one call."""
-    idx = np.flatnonzero(stage.is_work(batch).to_numpy())
     per_run = stage.WORK_PER_CALL
-    cuts = [0, *idx[per_run::per_run].tolist(), len(batch)]
-    return [batch.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
-
-
-def in_bounded_runs(fn, stage):
-    """`fn` (an instance of the model-stage class `stage`, or
-    cached_stage(stage, ...)) as a generator `map_batches` UDF over whole
-    blocks: one call per bounded run, each table yielded as it returns."""
-
-    def runs_fn(batch):
-        for run in bounded_runs(batch, stage):
-            yield fn(run)
-
-    runs_fn.__name__ = runs_fn.__qualname__ = stage.__name__
-    return runs_fn
-
-
-class BoundedRunsActor:
-    """Actor-pool form of in_bounded_runs: builds stage(**kwargs) once."""
-
-    def __init__(self, stage, **kwargs):
-        self.runs_fn = in_bounded_runs(stage(**kwargs), stage)
-
-    def __call__(self, batch: pa.Table):
-        return self.runs_fn(batch)
+    room, pending = per_run, []  # work rows the open run still takes; its rows
+    for table in tables:
+        idx = np.flatnonzero(stage.is_work(table).to_numpy())
+        cuts = idx[room::per_run].tolist()
+        bounds = [0, *cuts, len(table)]
+        runs = [table.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+        pending.append(runs[0])
+        if cuts:
+            yield pa.concat_tables(pending)
+            yield from runs[1:-1]
+            pending = [runs[-1]]
+        room += len(cuts) * per_run - len(idx)
+    yield pa.concat_tables(pending)
 
 
 def _with_null_crop_cols(batch: pa.Table) -> pa.Table:
@@ -559,7 +547,7 @@ class FormulaRecognizer(ModelBoundary):
 
 
 class MediaDetect:
-    """Actor: media span rows -> crop rows (others pass through).
+    """Stage: media span rows -> crop rows (others pass through).
 
     det_model_input=True routes every page through the REAL detection
     model boundary (reference db.rs:95-213, symmetric with Recognize's
@@ -656,7 +644,7 @@ class MediaDetect:
                 if payload is None:
                     # A lost media object must not kill a 10^12-doc run: the
                     # span contributes no lines (same as an empty page);
-                    # counted per actor.
+                    # counted per stage instance.
                     self.missing_media += 1
                     continue
                 try:
@@ -849,7 +837,7 @@ class LineReader:
 
 
 class Recognize:
-    """Actor: crop rows -> recognized text rows (others pass through).
+    """Stage: crop rows -> recognized text rows (others pass through).
 
     Holds the charset/decoder state (the reference loads the char dict once
     per session, ocr.rs:214-223); processes each batch wh-ratio-sorted and
@@ -890,7 +878,7 @@ class Recognize:
         if model_input and rec_session is None:
             from ..stubs import StubCtcSession
 
-            rec_session = StubCtcSession()  # once per actor, like a session
+            rec_session = StubCtcSession()  # once per instance, like a session
         self.rec_session = rec_session
 
     # crops per call over a whole block (see bounded_runs): a call holds

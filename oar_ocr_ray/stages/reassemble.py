@@ -1,12 +1,12 @@
 """Reassembly: span rows -> ordered per-document span lists.
 
-The one all-to-all exchange of the pipeline: rows are grouped by the `part`
-key (crc32(doc_id) % n_parts, assigned at explode time) and each partition is
-rebuilt VECTORIZED in Arrow/numpy — sort by (doc_id, offset, det_idx), find
-document boundaries, emit list<struct> spans with order = within-document
-rank. Grouping on the coarse `part` key instead of doc_id means one Python
-call per partition (not per document), and the same key could be reused by
-any later stage.
+The last steps of the extract chain's one fused map call, which holds
+whole documents: `pack_partial` packs each bounded run's span rows into
+one row per (doc, run), dropping the run's crops, and `merge_partials`
+merges the call's packed runs. The rebuild is VECTORIZED in Arrow/numpy —
+sort by (doc_id, offset, det_idx), find document boundaries, emit
+list<struct> spans with order = within-document rank — one Python call
+per batch, not per document.
 
 This reconstructs the reference's ordering guarantees: detection order
 restored by index scatter (/root/reference/src/oarocr/ocr.rs:728-808) and
@@ -26,7 +26,7 @@ from .explode import ANCHOR_KIND
 
 
 def rebuild_partition(table: pa.Table) -> pa.Table:
-    """(span rows of one partition) -> (doc_id, spans) rows, vectorized."""
+    """(span rows of whole documents) -> (doc_id, spans) rows, vectorized."""
     if len(table) == 0:
         return pa.table(
             {"doc_id": pa.array([], pa.string()),
@@ -71,7 +71,7 @@ def rebuild_partition(table: pa.Table) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# Combiner variant: pack per-doc partial lists BEFORE the shuffle
+# Per-run combiner: pack each run's span rows, merge once per call
 # ---------------------------------------------------------------------------
 
 PARTIAL_SPAN_STRUCT = pa.struct(
@@ -86,10 +86,10 @@ PARTIAL_SPAN_STRUCT = pa.struct(
 
 
 def pack_partial(table: pa.Table) -> pa.Table:
-    """Within-block combiner: span rows -> one row per (doc, block) with a
-    packed partial span list. The reassembly shuffle then moves ~n_docs tiny
-    rows instead of every span row — the aggregation-pushdown pattern
-    applied to sequence reconstruction. Vectorized (sort + run-length)."""
+    """Per-run combiner: span rows -> one row per (doc, run) with a packed
+    partial span list, so a call keeps ~one small row per document and run
+    instead of every span row with its crop. Vectorized (sort +
+    run-length)."""
     if len(table) == 0:
         return pa.table(
             {"doc_id": pa.array([], pa.string()), "part": pa.array([], pa.int32()),
@@ -121,7 +121,7 @@ def pack_partial(table: pa.Table) -> pa.Table:
 
 
 def merge_partials(table: pa.Table) -> pa.Table:
-    """Per-partition final merge: unpack partial lists back to span rows
+    """Per-call final merge: unpack partial lists back to span rows
     (Arrow-vectorized) and run the standard rebuild."""
     if len(table) == 0:
         return rebuild_partition(table)

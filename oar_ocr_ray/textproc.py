@@ -95,33 +95,37 @@ def strip_boilerplate_series(s: pd.Series) -> pd.Series:
     return s.str.strip()
 
 
-# RE2 class equal to Python re's Unicode \s: ASCII whitespace + the file
-# separators \x1c-\x1f + NEL \x85 + space separators \p{Zs} (NBSP, em/en
-# spaces, ideographic space, ...) + line/paragraph separators. RE2's own
-# \s is ASCII-only, which silently diverges from the Python-re golden
-# implementations on e.g. NBSP inside a boilerplate line.
-_RE2_UNICODE_WS = r"[\t\n\v\f\r\x1c-\x1f \x85\p{Zs}\x{2028}\x{2029}]"
+# RE2 class equal to Python re's Unicode \s without \n (a line never
+# holds one): ASCII whitespace + the file separators \x1c-\x1f + NEL \x85 +
+# space separators \p{Zs} (NBSP, em/en spaces, ideographic space, ...) +
+# line/paragraph separators. RE2's own \s is ASCII-only, which silently
+# diverges from the Python-re golden implementations on e.g. NBSP inside
+# a boilerplate line.
+_LINE_WS = r"\t\v\f\r\x1c-\x1f \x85\p{Zs}\x{2028}\x{2029}"
+_RE2_BOILER_LINE = (r"(?im)^[" + _LINE_WS + "]*(?:"
+                    + "|".join(BOILERPLATE_PATTERNS).replace(r"\s", "[" + _LINE_WS + "]")
+                    + ")[" + _LINE_WS + "]*$")
+# the rest of _WS's job: a lone space is already what it would become
+_RE2_WS = r"[ \t\r\f\v]{2,}|[\t\r\f\v]"
+# one pass for the line trims and the empty lines: whitespace around a
+# newline and any newlines after it; a bare "\n" is left alone
+_RE2_LINE_BREAK = ("[" + _LINE_WS + r"]+\n[\n" + _LINE_WS + r"]*|\n[\n" + _LINE_WS + "]+")
 
 
 def strip_boilerplate_arrow(arr):
-    """Arrow-native strip_boilerplate: the same four regex passes as
-    strip_boilerplate_series but as pyarrow.compute
-    replace_substring_regex kernels (RE2, true C vectorization — the
-    patterns use only RE2-supported syntax: inline (?im), alternation,
-    classes; no backrefs/lookarounds; \\s rewritten to the explicit
-    Unicode-whitespace class so RE2 matches Python re's semantics).
-    Zero pandas round-trip: this is the flagship text-span path, so
-    batches stay Arrow end-to-end. Property-tested equal to the
-    pandas/scalar implementations, including NBSP/Unicode whitespace."""
-    import pyarrow as pa
+    """Arrow-native strip_boilerplate, for the flagship text-span path:
+    three pyarrow.compute replace_substring_regex kernels (RE2, no pandas
+    round-trip) and a trim. Boilerplate lines go first; then runs of
+    horizontal whitespace collapse to one space, and whitespace next to a
+    line break goes with any empty lines after it. No pass rewrites a
+    match into itself (a lone space, a bare newline). Property-tested
+    equal to the scalar implementation, NBSP and CRLF included."""
     import pyarrow.compute as pc
 
-    boiler = _BOILER_LINE_ML.pattern.replace(r"\s", _RE2_UNICODE_WS)
     x = pc.fill_null(arr, "")
-    x = pc.replace_substring_regex(x, pattern=boiler, replacement="")
-    x = pc.replace_substring_regex(x, pattern=_WS.pattern, replacement=" ")
-    x = pc.replace_substring_regex(x, pattern=_NL_WS.pattern, replacement="\n")
-    x = pc.replace_substring_regex(x, pattern=_MULTI_NL.pattern, replacement="\n")
+    x = pc.replace_substring_regex(x, pattern=_RE2_BOILER_LINE, replacement="")
+    x = pc.replace_substring_regex(x, pattern=_RE2_WS, replacement=" ")
+    x = pc.replace_substring_regex(x, pattern=_RE2_LINE_BREAK, replacement="\n")
     return pc.utf8_trim_whitespace(x)
 
 

@@ -30,14 +30,11 @@ def spans_by_doc(table):
 
 
 def concat_output(tables) -> pa.Table:
-    """One table from the extract pipeline's output blocks. Ray's Sort
-    emits a zero-column table for an empty range partition, which
-    map_groups passes through untouched: zero-row blocks are dropped, and
-    every other block must carry OUTPUT_SCHEMA."""
-    kept = [t for t in tables if t.num_rows]
-    for t in kept:
+    """One table from the extract pipeline's output blocks, each of which,
+    empty ones included, must carry OUTPUT_SCHEMA."""
+    for t in tables:
         assert t.schema.equals(OUTPUT_SCHEMA), t.schema
-    return pa.concat_tables(kept) if kept else OUTPUT_SCHEMA.empty_table()
+    return pa.concat_tables(tables) if tables else OUTPUT_SCHEMA.empty_table()
 
 
 def collect_output(ds) -> pa.Table:
@@ -60,27 +57,9 @@ def assert_matches_golden(result_table, golden_path, n_docs):
         )
 
 
-def test_concat_output_drops_empty_partitions():
-    """A zero-column empty table (what Ray's Sort returns for an empty
-    range partition) is dropped; a non-empty block of any other schema
-    fails the collector."""
-    empty_partition = pa.table({})
-    rows = [{"doc_id": "d1", "spans": [{"kind": "text", "text": "a",
-                                        "media_ref": "", "order": 0}]},
-            {"doc_id": "d2", "spans": []}]
-    a = pa.Table.from_pylist(rows[:1], schema=OUTPUT_SCHEMA)
-    b = pa.Table.from_pylist(rows[1:], schema=OUTPUT_SCHEMA)
-    out = concat_output([a, empty_partition, OUTPUT_SCHEMA.empty_table(), b])
-    assert out.schema.equals(OUTPUT_SCHEMA) and out.to_pylist() == rows
-    assert concat_output([empty_partition]).schema.equals(OUTPUT_SCHEMA)
-    with pytest.raises(AssertionError):
-        concat_output([a, pa.table({"doc_id": ["d3"]})])
-
-
 def test_pipeline_matches_golden(ray_session, corpus):
     ds = build_extract_pipeline(
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
-        det_concurrency=1, rec_concurrency=1,
     )
     assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
 
@@ -92,7 +71,7 @@ def test_run_extract_resumable(ray_session, corpus, tmp_path):
     # simulate a killed run: only 1 shard gets committed
     r1 = run_extract(
         corpus["doc_files"], corpus["media_dir"], out,
-        n_shards=3, max_shards=1, n_parts=8, det_concurrency=1, rec_concurrency=1,
+        n_shards=3, max_shards=1, n_parts=8,
     )
     assert r1["shards_done"] == 1
     # a crash mid-commit of shard 1 leaves a torn last manifest line: it
@@ -103,13 +82,13 @@ def test_run_extract_resumable(ray_session, corpus, tmp_path):
     assert list(manifest.completed()) == [0]
     r2a = run_extract(
         corpus["doc_files"], corpus["media_dir"], out,
-        n_shards=3, max_shards=1, n_parts=8, det_concurrency=1, rec_concurrency=1,
+        n_shards=3, max_shards=1, n_parts=8,
     )
     assert r2a["shards_done"] == 2 and r2a["shards_processed_now"] == 1
     # resume: finishes the rest, skipping the committed shards
     r2 = run_extract(
         corpus["doc_files"], corpus["media_dir"], out,
-        n_shards=3, n_parts=8, det_concurrency=1, rec_concurrency=1,
+        n_shards=3, n_parts=8,
     )
     assert r2["shards_done"] == 3
     assert r2["shards_processed_now"] == 1  # shards 0 and 1 were skipped
@@ -143,12 +122,12 @@ def test_run_extract_resume_rejects_shard_drift(ray_session, corpus, tmp_path):
     out = str(tmp_path / "out_drift")
     run_extract(
         corpus["doc_files"], corpus["media_dir"], out,
-        n_shards=3, max_shards=1, n_parts=8, det_concurrency=1, rec_concurrency=1,
+        n_shards=3, max_shards=1, n_parts=8,
     )
     with pytest.raises(RuntimeError, match="resume mismatch"):
         run_extract(
             corpus["doc_files"], corpus["media_dir"], out,
-            n_shards=2, n_parts=8, det_concurrency=1, rec_concurrency=1,
+            n_shards=2, n_parts=8,
         )
 
 
@@ -162,20 +141,19 @@ def test_run_extract_resume_rejects_committed_shard_beyond_count(
     out = str(tmp_path / "out_beyond")
     run_extract(
         corpus["doc_files"][:2], corpus["media_dir"], out,
-        n_shards=2, n_parts=8, det_concurrency=1, rec_concurrency=1,
+        n_shards=2, n_parts=8,
     )
     with pytest.raises(RuntimeError, match="exceeds this run's shard count"):
         run_extract(
             corpus["doc_files"][:1], corpus["media_dir"], out,
             n_shards=2,  # collapses to 1 shard for a single file
-            n_parts=8, det_concurrency=1, rec_concurrency=1,
+            n_parts=8,
         )
 
 
 def test_output_schema(ray_session, corpus, tmp_path):
     ds = build_extract_pipeline(
         corpus["doc_files"][:1], corpus["media_dir"], n_parts=4,
-        det_concurrency=1, rec_concurrency=1,
     )
     t = ds.limit(5).to_pandas()
     assert list(t.columns) == ["doc_id", "spans"]
@@ -232,12 +210,13 @@ def test_media_detect_chunk_invariance(corpus):
 
 
 def test_model_stages_run_whole_blocks_in_bounded_runs(ray_session, corpus):
-    """A whole block reaches each model stage in runs of consecutive rows
-    holding at most WORK_PER_CALL of the rows the stage works on (image
-    spans for MediaDetect, crops for Recognize): the runs cover the block
-    in order, and their tables hold the same rows as one call over it."""
+    """A model stage is called on runs of consecutive rows holding at most
+    WORK_PER_CALL of the rows it works on (image spans for MediaDetect,
+    crops for Recognize): the runs cover the stream in order, cut where
+    they would cut the concatenated stream, and their tables hold the
+    same rows as one call over it."""
     from oar_ocr_ray.stages.explode import make_explode_spans
-    from oar_ocr_ray.stages.media import MediaDetect, Recognize, in_bounded_runs
+    from oar_ocr_ray.stages.media import MediaDetect, Recognize, bounded_runs
     from oar_ocr_ray.stages.text import strip_text_spans
 
     docs = pa.concat_tables([pq.read_table(f) for f in corpus["doc_files"][:3]])
@@ -246,18 +225,59 @@ def test_model_stages_run_whole_blocks_in_bounded_runs(ray_session, corpus):
     keys = [("doc_id", "ascending"), ("offset", "ascending"), ("det_idx", "ascending")]
     for stage, batch in ((detect, spans), (Recognize(), detect(spans))):
         cls = type(stage)
-        calls = []
-
-        def recording(run):
-            calls.append(run)
-            return stage(run)
-
-        out = pa.concat_tables(list(in_bounded_runs(recording, cls)(batch)))
-        work = [int(cls.is_work(r).to_numpy().sum()) for r in calls]
-        assert len(calls) > 1 and max(work) <= cls.WORK_PER_CALL, (cls, work)
-        assert sum(work) == int(cls.is_work(batch).to_numpy().sum())
-        assert pa.concat_tables(calls).equals(batch)
+        runs = list(bounded_runs([batch], cls))
+        work = [int(cls.is_work(r).to_numpy().sum()) for r in runs]
+        assert len(runs) > 1 and max(work) <= cls.WORK_PER_CALL, (cls, work)
+        assert pa.concat_tables(runs).equals(batch)
+        pieces = [batch.slice(a, 97) for a in range(0, len(batch), 97)]
+        assert [len(r) for r in bounded_runs(pieces, cls)] == [len(r) for r in runs]
+        out = pa.concat_tables([stage(r) for r in runs])
         assert out.sort_by(keys).equals(stage(batch).sort_by(keys))
+
+
+def test_documents_cut_across_bounded_runs(ray_session, corpus, monkeypatch):
+    """With one image span per MediaDetect run and two crops per Recognize
+    run, every multi-image document spans several runs; the fused UDF's
+    per-call merge still gives one row per document, equal to the golden.
+    The UDF is called in this process, where the patched bounds apply."""
+    from oar_ocr_ray.pipelines.extract import extract_docs
+    from oar_ocr_ray.stages.media import MediaDetect, Recognize
+
+    monkeypatch.setattr(MediaDetect, "WORK_PER_CALL", 1)
+    monkeypatch.setattr(Recognize, "WORK_PER_CALL", 2)
+    calls = []
+    detect = MediaDetect.__call__
+    monkeypatch.setattr(MediaDetect, "__call__",
+                        lambda self, run: calls.append(run) or detect(self, run))
+    docs_fn = extract_docs(corpus["media_dir"], n_parts=8)
+    tables = [pq.read_table(f, columns=["doc_id", "spans"]) for f in corpus["doc_files"]]
+    images = [[sum(s["kind"] == "image" for s in d["spans"]) for d in t.to_pylist()]
+              for t in tables]
+    assert max(map(max, images)) > 1
+    out = concat_output([docs_fn(t) for t in tables])
+    # one MediaDetect call per image span (at least one per call)
+    assert len(calls) == sum(max(1, sum(n)) for n in images)
+    assert out.num_rows == N_DOCS
+    assert_matches_golden(out, corpus["golden_path"], N_DOCS)
+
+
+def test_extract_plan_has_no_exchange(ray_session, corpus):
+    """The extract plan is the read plus one fused map operator, with no
+    all-to-all exchange, and every block it yields carries OUTPUT_SCHEMA
+    (a Sort exchange yields zero-column blocks for its empty partitions)."""
+    from ray.data._internal.logical.interfaces import LogicalOperator
+    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+
+    ds = build_extract_pipeline(corpus["doc_files"], corpus["media_dir"], n_parts=8)
+    ops, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op: LogicalOperator = todo.pop()
+        ops.append(op)
+        todo.extend(op.input_dependencies)
+    assert not [op.name for op in ops if isinstance(op, AbstractAllToAll)]
+    assert [op.name for op in ops if "MediaDetect" in op.name] == [
+        "MapBatches(explode->strip->MediaDetect->Recognize->pack->merge)"]
+    assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
 
 
 def test_media_store_stamp_detects_rewritten_bucket(ray_session, tmp_path):
@@ -291,17 +311,6 @@ def test_media_store_stamp_detects_rewritten_bucket(ray_session, tmp_path):
     write(222)
     s2 = MediaStore(d)  # fresh worker-local cache, same named directory actor
     assert decode_png(s2.get(ref))[0, 0, 0] == 222
-
-
-def test_actors_stage_mode_matches_golden(ray_session, corpus):
-    """stage_mode='actors' (dedicated actor pools, the heavyweight-model
-    configuration) must produce the same span sequences as the default
-    tasks mode."""
-    ds = build_extract_pipeline(
-        corpus["doc_files"], corpus["media_dir"], n_parts=8,
-        stage_mode="actors", det_concurrency=1, rec_concurrency=1,
-    )
-    assert_matches_golden(collect_output(ds), corpus["golden_path"], N_DOCS)
 
 
 def test_media_over_the_shared_budget_runs_on_the_lazy_store(
@@ -371,7 +380,6 @@ def test_corrupt_media_payload_skipped_not_fatal(ray_session, corpus, tmp_path):
 
     ds = build_extract_pipeline(
         corpus["doc_files"], media_dir, n_parts=16,
-        det_concurrency=1, rec_concurrency=1,
     )
     table = collect_output(ds)
     got = spans_by_doc(table)
@@ -408,7 +416,6 @@ def test_wiped_media_bucket_skipped_not_fatal(ray_session, corpus, tmp_path):
 
     ds = build_extract_pipeline(
         corpus["doc_files"], media_dir, n_parts=16,
-        det_concurrency=1, rec_concurrency=1,
     )
     table = collect_output(ds)
     got = spans_by_doc(table)
@@ -430,7 +437,7 @@ def test_model_input_tensor_path_matches_golden(ray_session, corpus):
     0/180 retry path is exercised too."""
     ds = build_extract_pipeline(
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
-        det_concurrency=1, rec_concurrency=1, rec_model_input=True,
+        rec_model_input=True,
     )
     table = collect_output(ds)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)
@@ -447,7 +454,7 @@ def test_det_model_input_tensor_path_matches_golden(ray_session, corpus):
     true rects; the margin-tolerant pixel read absorbs it."""
     ds = build_extract_pipeline(
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
-        det_concurrency=1, rec_concurrency=1, det_model_input=True,
+        det_model_input=True,
     )
     table = collect_output(ds)
     assert_matches_golden(table, corpus["golden_path"], N_DOCS)
@@ -460,7 +467,6 @@ def test_both_model_boundaries_match_golden(ray_session, corpus):
     what keeps det-margin crops exact through the bilinear rec resize."""
     ds = build_extract_pipeline(
         corpus["doc_files"], corpus["media_dir"], n_parts=16,
-        det_concurrency=1, rec_concurrency=1,
         det_model_input=True, rec_model_input=True,
     )
     table = collect_output(ds)
@@ -471,26 +477,18 @@ def test_orientation_seam_matches_golden(ray_session, corpus):
     """orient_model_input=True routes document-orientation classification
     through the session boundary (normalized tensor -> (B,4) probs ->
     argmax); the corpus has ~10% rotated pages, so the seam is
-    load-bearing."""
-    import ray.data
-
-    from oar_ocr_ray.stages.media import MediaDetect, Recognize
+    load-bearing. Each documents file holds whole documents, so the chain
+    runs file by file, in this process."""
     from oar_ocr_ray.stages.explode import make_explode_spans
+    from oar_ocr_ray.stages.media import MediaDetect, Recognize
     from oar_ocr_ray.stages.reassemble import merge_partials, pack_partial
     from oar_ocr_ray.stages.text import strip_text_spans
 
-    ds = ray.data.read_parquet(corpus["doc_files"], columns=["doc_id", "spans"])
-    ds = ds.map_batches(make_explode_spans(16), batch_format="pyarrow")
-    ds = ds.map_batches(strip_text_spans, batch_format="pyarrow")
-    ds = ds.map_batches(
-        MediaDetect,
-        fn_constructor_kwargs={"media_dir": corpus["media_dir"],
-                               "orient_model_input": True},
-        batch_format="pyarrow", batch_size=64, concurrency=1, num_cpus=1,
-    )
-    ds = ds.map_batches(Recognize, batch_format="pyarrow",
-                        batch_size=512, concurrency=1, num_cpus=1)
-    ds = ds.map_batches(pack_partial, batch_format="pyarrow")
-    ds = ds.groupby("part").map_groups(merge_partials, batch_format="pyarrow")
-    table = collect_output(ds)
-    assert_matches_golden(table, corpus["golden_path"], N_DOCS)
+    detect = MediaDetect(media_dir=corpus["media_dir"], orient_model_input=True)
+    recognize = Recognize()
+    tables = []
+    for f in corpus["doc_files"]:
+        docs = pq.read_table(f, columns=["doc_id", "spans"])
+        spans = strip_text_spans(make_explode_spans(16)(docs))
+        tables.append(merge_partials(pack_partial(recognize(detect(spans)))))
+    assert_matches_golden(concat_output(tables), corpus["golden_path"], N_DOCS)

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from oar_ocr_ray.ctc import ctc_greedy_decode, encode_ctc_logits
 from oar_ocr_ray.sorting import sort_quad_boxes_indices
 from oar_ocr_ray.stages.reassemble import merge_partials, pack_partial, rebuild_partition
-from oar_ocr_ray.textproc import strip_boilerplate, strip_boilerplate_series
+from oar_ocr_ray.textproc import (
+    strip_boilerplate,
+    strip_boilerplate_arrow,
+    strip_boilerplate_series,
+)
 
 printable = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=30
@@ -25,6 +29,26 @@ printable = st.text(
 @given(st.lists(printable, max_size=6).map("\n".join))
 def test_strip_scalar_equals_vectorized(text):
     assert strip_boilerplate_series(pd.Series([text])).iloc[0] == strip_boilerplate(text)
+
+
+# what the text strip meets: whole boilerplate lines, words, the
+# whitespace the Arrow passes rewrite, NBSP, and runs of newlines and spaces
+strip_pieces = st.one_of(
+    st.sampled_from(["Advertisement", "back to TOP", "home | about | contact",
+                     "© 2024 Corp", "Log in", "share this post", "[ ad ]",
+                     "cookie policy"]),
+    st.text(alphabet="abcXYZ019.|", min_size=1, max_size=6),
+    st.sampled_from(["\t", "\r", "\f", "\v", "\xa0"]),
+    st.integers(1, 3).map("\n".__mul__),
+    st.integers(1, 3).map(" ".__mul__),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(strip_pieces, max_size=12).map("".join))
+def test_strip_scalar_equals_arrow(text):
+    got = strip_boilerplate_arrow(pa.array([text], pa.string()))[0].as_py()
+    assert got == strip_boilerplate(text)
 
 
 @settings(max_examples=60, deadline=None)

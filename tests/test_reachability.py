@@ -85,3 +85,22 @@ def all_modules() -> set[str]:
 def test_only_the_queued_modules_are_unreached():
     assert all_modules() - reached_modules() == UNREACHED
 
+
+
+def test_perfbench_patches_resolve(tmp_path):
+    """perfbench's traced run wraps engine names by attribute: the stage
+    classes and layer functions in the workers, and the extract build's
+    UDFs and shard steps in the process that builds the plan. Installing
+    and undoing both sets here, with no Ray run, fails as soon as one of
+    those names is renamed or deleted."""
+    from oar_ocr_ray.pipelines import extract
+    from oar_ocr_ray.stages import media
+    from perfbench import tracer
+
+    before = (extract.make_explode_spans, extract.strip_text_spans,
+              media.MediaDetect.__call__)
+    rec = tracer.Recorder(str(tmp_path))
+    for patch in (tracer.patch_driver, tracer.patch_worker):
+        patch(rec).undo()
+    assert (extract.make_explode_spans, extract.strip_text_spans,
+            media.MediaDetect.__call__) == before

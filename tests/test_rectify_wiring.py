@@ -75,8 +75,7 @@ def _run(corpus, **kw):
     from tests.test_extract_e2e import collect_output
 
     ds = build_extract_pipeline(
-        corpus["doc_files"], corpus["media_dir"], n_parts=8,
-        det_concurrency=1, rec_concurrency=1, **kw,
+        corpus["doc_files"], corpus["media_dir"], n_parts=8, **kw,
     )
     return collect_output(ds)
 
