@@ -3,9 +3,9 @@
 A from-scratch reimplementation of the query/data-processing capabilities of
 the reference `owen800q/oar-ocr` (Rust + ONNX Runtime OCR engine), expressed
 as `ray.data.Dataset` pipelines: `map_batches` over zero-copy Arrow batches,
-model stages as stateless tasks with a per-worker cached stage instance
-(actor pools on request), explicit `groupby`/`sort`/partitioning
-for the wide steps, over tables of interleaved text + media documents.
+model stages as stateless tasks with a per-worker cached stage instance,
+explicit `groupby`/`sort`/partitioning for the queries' wide steps, over
+tables of interleaved text + media documents.
 
 Layout:
   geometry   — polygon/box math (IoU/IoA, perspective crop, connected comps)

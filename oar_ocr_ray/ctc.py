@@ -52,17 +52,6 @@ def ctc_greedy_decode(logits: np.ndarray, charset: str = DEFAULT_CHARSET):
     return text, conf, kept_ts.astype(np.int64)
 
 
-def ctc_decode_batch(logits: np.ndarray, charset: str = DEFAULT_CHARSET):
-    """Decode a (B, T, C) batch -> (texts, confs, col_indices list)."""
-    texts, confs, cols = [], [], []
-    for b in range(len(logits)):
-        t, c, ci = ctc_greedy_decode(logits[b], charset)
-        texts.append(t)
-        confs.append(c)
-        cols.append(ci)
-    return texts, np.asarray(confs, dtype=np.float32), cols
-
-
 def encode_ctc_logits(text: str, charset: str = DEFAULT_CHARSET, conf: float = 0.9) -> np.ndarray:
     """Build a (T, C) prob matrix whose greedy CTC decode yields `text`.
 

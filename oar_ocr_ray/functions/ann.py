@@ -101,49 +101,6 @@ class HyperplaneLsh:
         return df
 
 
-class IvfIndex:
-    """IVF (inverted-file) ANN: seeded kmeans-lite coarse quantizer.
-
-    fit() runs a few Lloyd iterations on a (sampled) matrix driver-side;
-    the centroid matrix is then broadcast and each batch assigns its
-    vectors to their nearest centroid in one matmul. Queries score only
-    vectors whose cluster is among the query's `nprobe` nearest centroids
-    — the standard IVF trade: recall vs fraction of the corpus touched.
-    """
-
-    def __init__(self, n_clusters: int = 16, iters: int = 8, seed: int = 5):
-        self.n_clusters = n_clusters
-        self.iters = iters
-        self.seed = seed
-        self.centroids: np.ndarray | None = None
-
-    def fit(self, matrix: np.ndarray) -> "IvfIndex":
-        m = _normalize(np.asarray(matrix, dtype=np.float64))
-        rng = np.random.default_rng(self.seed)
-        k = min(self.n_clusters, len(m))
-        centroids = m[rng.choice(len(m), size=k, replace=False)]
-        for _ in range(self.iters):
-            assign = (m @ centroids.T).argmax(axis=1)
-            for c in range(k):
-                members = m[assign == c]
-                if len(members):
-                    v = members.mean(axis=0)
-                    n = np.linalg.norm(v)
-                    if n > 0:
-                        centroids[c] = v / n
-        self.centroids = centroids
-        return self
-
-    def assign(self, matrix: np.ndarray) -> np.ndarray:
-        m = _normalize(np.asarray(matrix, dtype=np.float64))
-        return (m @ self.centroids.T).argmax(axis=1)
-
-    def probe(self, queries: np.ndarray, nprobe: int = 4) -> np.ndarray:
-        q = _normalize(np.asarray(queries, dtype=np.float64))
-        sims = q @ self.centroids.T
-        return np.argsort(-sims, axis=1)[:, :nprobe]
-
-
 # ---------------------------------------------------------------------------
 # Oracle-parity IVF: every arithmetic step quantized to 6 decimals so the
 # whole index build + search is reproducible bit-for-bit in ANSI SQL

@@ -174,10 +174,6 @@ def simhash64(text: str, ngram: int = 3) -> int:
     return int(((votes > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
 def simhash_batch(df: pd.DataFrame, ngram: int = 3) -> pd.DataFrame:
     t = _norm_text(df["text"])
     out = pd.DataFrame({"doc_id": df["doc_id"].values})

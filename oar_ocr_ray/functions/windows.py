@@ -8,7 +8,6 @@ key, order by ts within the group, window with vectorized pandas inside
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 
@@ -25,34 +24,11 @@ def tumbling_window(df: pd.DataFrame, minutes: int = 60) -> pd.DataFrame:
     return g
 
 
-def sessionize(g: pd.DataFrame, gap_minutes: int = 30) -> pd.DataFrame:
-    """Per-user session windows: a new session starts when the gap from the
-    previous event exceeds gap_minutes. Runs inside groupby(user_id)
-    .map_groups with the group sorted by ts."""
-    g = g.sort_values(["ts", "event_id"])
-    gap = g["ts"].diff() > pd.Timedelta(minutes=gap_minutes)
-    session_idx = gap.cumsum().fillna(0).astype(np.int64)
-    out = (
-        g.assign(session_idx=session_idx)
-        .groupby("session_idx", sort=True)
-        .agg(
-            user_id=("user_id", "first"),
-            session_start=("ts", "min"),
-            session_end=("ts", "max"),
-            n_events=("event_id", "count"),
-            sum_value=("value", "sum"),
-        )
-        .reset_index(drop=True)
-    )
-    return out[["user_id", "session_start", "session_end", "n_events", "sum_value"]]
-
-
 def sessionize_partition(g: pd.DataFrame, gap_minutes: int = 30) -> pd.DataFrame:
     """Sessionize EVERY user in one coarse partition with a single
     vectorized pass: sort by (user_id, ts, event_id), flag a session break
     on user change OR gap > gap_minutes, cumsum to session ids, one pandas
-    groupby. Semantics identical to per-user `sessionize`, but one Python
-    invocation per partition instead of per user."""
+    groupby: one Python invocation per partition instead of per user."""
     g = g.sort_values(["user_id", "ts", "event_id"])
     new_user = g["user_id"].ne(g["user_id"].shift())
     gap = g["ts"].diff() > pd.Timedelta(minutes=gap_minutes)

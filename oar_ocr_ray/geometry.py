@@ -421,35 +421,6 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def approx_poly_dp(points: np.ndarray, epsilon: float) -> np.ndarray:
-    """Douglas-Peucker polyline simplification (geometry.rs approx_poly_dp)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if len(pts) < 3:
-        return pts
-
-    def simplify(lo: int, hi: int, keep: np.ndarray) -> None:
-        a, b = pts[lo], pts[hi]
-        seg = b - a
-        seg_len = np.linalg.norm(seg)
-        if seg_len == 0:
-            d = np.linalg.norm(pts[lo + 1:hi] - a, axis=1)
-        else:
-            d = np.abs(np.cross(seg, a - pts[lo + 1:hi])) / seg_len
-        if len(d) == 0:
-            return
-        imax = int(d.argmax())
-        if d[imax] > epsilon:
-            mid = lo + 1 + imax
-            keep[mid] = True
-            simplify(lo, mid, keep)
-            simplify(mid, hi, keep)
-
-    keep = np.zeros(len(pts), dtype=bool)
-    keep[0] = keep[-1] = True
-    simplify(0, len(pts) - 1, keep)
-    return pts[keep]
-
-
 def unclip_box(quad: np.ndarray, unclip_ratio: float = 2.0) -> np.ndarray:
     """DB box expansion: offset distance delta = area * ratio / perimeter
     (db_bitmap.rs:144-211, Vatti offset via clipper in the reference; here

@@ -1207,14 +1207,15 @@ WHERE len(list_filter(string_split(text, ' '), x -> len(x) > 3)) > 0
 
 def boilerplate_strip_docs(sf_dir: str):
     """Whitespace-normalization strip over the flat documents table (the
-    text-span path of the flagship, SQL-checkable here)."""
-    from .textproc import strip_boilerplate_series
+    text-span path of the flagship, SQL-checkable here): the flagship's
+    Arrow kernels over each batch."""
+    from .textproc import strip_boilerplate_arrow
 
-    def run(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"doc_id": df["doc_id"], "clean_text": strip_boilerplate_series(df["text"])})
+    def run(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "clean_text": strip_boilerplate_arrow(t["text"])})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(run, batch_format="pandas")
+    return ds.map_batches(run, batch_format="pyarrow")
 
 
 # testdata docs are single-line and boilerplate-free, so the strip reduces to
@@ -1245,24 +1246,6 @@ def _query_vectors(sf_dir: str, n_queries: int) -> pd.DataFrame:
         filters=[("vec_id", "in", wanted)],
     )
     return t.to_pandas().sort_values("vec_id").reset_index(drop=True)
-
-
-def _sample_embedding_matrix(sf_dir: str, max_rows: int = 4096) -> np.ndarray:
-    """Bounded sample for index fitting: read whole row groups until
-    max_rows vectors are collected — never the full table."""
-    import pyarrow.parquet as pq
-
-    f = pq.ParquetFile(_p(sf_dir, "embeddings"))
-    chunks = []
-    total = 0
-    for rg in range(f.num_row_groups):
-        t = f.read_row_group(rg, columns=["embedding"])
-        chunks.append(np.stack(t["embedding"].to_pandas().to_numpy()))
-        total += len(t)
-        if total >= max_rows:
-            break
-    m = np.concatenate(chunks, axis=0)[:max_rows]
-    return m.astype(np.float64)
 
 
 def ann_topk(sf_dir: str, k: int = 10, n_queries: int = 5):
@@ -1869,20 +1852,18 @@ def ann_lsh_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nbits: int = 8,
         wanted |= {int(b) ^ (1 << i) for b in qbuckets for i in range(nbits)}
     queries_ref = ray.put({"ids": qdf["vec_id"].to_numpy(), "matrix": qm})
 
+    class ProbedScorer(BruteForceScorer):
+        """Scores only the vectors in a probed bucket. The filter runs in
+        the scorer, so a block with none of them still leaves as typed
+        empty partials rather than as no block at all."""
+
+        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+            df = lsh(df)
+            return super().__call__(df[df["bucket"].isin(wanted)])
+
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    bucketed = ds.map_batches(lambda df: lsh(df), batch_format="pandas")
-
-    def probed(df: pd.DataFrame):
-        # a block with no probed vector yields nothing: Ray cannot size a
-        # zero-row pandas block with the object `embedding` column (the
-        # query vectors' own buckets always keep some block non-empty)
-        kept = df[df["bucket"].isin(wanted)].drop(columns=["bucket"])
-        if len(kept):
-            yield kept
-
-    filtered = bucketed.map_batches(probed, batch_format="pandas")
-    partials = filtered.map_batches(
-        BruteForceScorer,
+    partials = ds.map_batches(
+        ProbedScorer,
         fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
         batch_format="pandas",
         concurrency=2,
@@ -2810,12 +2791,13 @@ def decontaminate(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def holdout_grams(df: pd.DataFrame) -> pd.DataFrame:
+    def holdout_grams(df: pd.DataFrame) -> pa.Table:
         ev = df[df["doc_id"] % DECONTAM_MOD == 0]
         s: set = set()
         for g in grams_of(ev["text"]):
             s |= g
-        return pd.DataFrame({"gram": sorted(s)})
+        # a string column even when the batch holds no holdout doc
+        return pa.table({"gram": pa.array(sorted(s), pa.string())})
 
     ev_grams = set(
         ds.map_batches(holdout_grams, batch_format="pandas")
@@ -4458,8 +4440,8 @@ def q4_order_priority(sf_dir: str):
 
     Scale shape: the order->date map is ORDER-cardinality (never
     broadcast); both streams add the same coarse hash(orderkey) partition
-    key and the semi-join is a vectorized in-partition merge, followed by
-    a 5-row final groupby."""
+    key and the semi-join is a vectorized in-partition merge. The final
+    5-row groupby sums the per-partition counts on the driver."""
     lo, hi = np.datetime64("1996-01-01"), np.datetime64("1996-04-01")
 
     def o_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -4490,20 +4472,15 @@ def q4_order_priority(sf_dir: str):
         vc = hit["prio"].value_counts()
         return pd.DataFrame({"prio": vc.index.astype(str), "n": vc.to_numpy()})
 
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])\
         .map_batches(o_part, batch_format="pandas")
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])\
         .map_batches(l_part, batch_format="pandas")
-    out = (
-        orders.union(lines).groupby("bp")
-        .map_groups(semi_count, batch_format="pandas")
-        .groupby("prio").aggregate(Sum("n", alias_name="order_count"))
-        .to_pandas()
-    )
-    out["order_count"] = out["order_count"].astype("int64")
-    return out.rename(columns={"prio": "o_orderpriority"}).sort_values(
+    partials = (orders.union(lines).groupby("bp")
+                .map_groups(semi_count, batch_format="pandas").to_pandas())
+    out = partials.groupby("prio", as_index=False)["n"].sum()
+    out["n"] = out["n"].astype("int64")
+    return out.rename(columns={"prio": "o_orderpriority", "n": "order_count"}).sort_values(
         "o_orderpriority").reset_index(drop=True)
 
 
@@ -4522,7 +4499,7 @@ def q12_priority_by_returnflag(sf_dir: str):
     """TPC-H Q12 (shipmode -> returnflag on this schema): per returnflag
     of 1996-shipped lines, CASE-sum of high- vs low-priority orders.
     Same co-partitioned big-big join as q4; the CASE-sums are partial
-    per partition, final groupby is 3 rows."""
+    per partition, and the driver sums them into the 3-row result."""
     lo, hi = np.datetime64("1996-01-01"), np.datetime64("1997-01-01")
 
     def o_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -4554,23 +4531,18 @@ def q12_priority_by_returnflag(sf_dir: str):
                              "high_count": agg["sum"].to_numpy(dtype=np.int64),
                              "low_count": (agg["count"] - agg["sum"]).to_numpy(dtype=np.int64)})
 
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])\
         .map_batches(o_part, batch_format="pandas")
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_returnflag"])\
         .map_batches(l_part, batch_format="pandas")
-    out = (
-        orders.union(lines).groupby("bp")
-        .map_groups(join_count, batch_format="pandas")
-        .groupby("flag").aggregate(Sum("high_count", alias_name="high_line_count"),
-                                   Sum("low_count", alias_name="low_line_count"))
-        .to_pandas()
-    )
-    out["high_line_count"] = out["high_line_count"].astype("int64")
-    out["low_line_count"] = out["low_line_count"].astype("int64")
-    return out.rename(columns={"flag": "l_returnflag"}).sort_values(
-        "l_returnflag").reset_index(drop=True)
+    partials = (orders.union(lines).groupby("bp")
+                .map_groups(join_count, batch_format="pandas").to_pandas())
+    out = partials.groupby("flag", as_index=False)[["high_count", "low_count"]].sum()
+    return pd.DataFrame({
+        "l_returnflag": out["flag"],
+        "high_line_count": out["high_count"].astype("int64"),
+        "low_line_count": out["low_count"].astype("int64"),
+    }).sort_values("l_returnflag").reset_index(drop=True)
 
 
 Q12_SQL = """
@@ -4591,7 +4563,7 @@ def q13_customer_distribution(sf_dir: str):
     partial order counts per custkey -> coarse hash(custkey) partition
     where the customer stream left-merges the summed counts (both sides
     co-partitioned; no customer-cardinality broadcast) -> per-partition
-    histogram partials -> tiny final groupby(c_count)."""
+    histogram partials -> tiny final groupby(c_count) on the driver."""
     def o_part(df: pd.DataFrame) -> pd.DataFrame:
         vc = df["o_custkey"].value_counts()
         k = vc.index.to_numpy(dtype=np.int64)
@@ -4614,16 +4586,11 @@ def q13_customer_distribution(sf_dir: str):
         return pd.DataFrame({"c_count": vc.index.to_numpy(dtype=np.int64),
                              "custdist": vc.to_numpy(dtype=np.int64)})
 
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(o_part, batch_format="pandas")
     cust = _read(sf_dir, "customer", ["c_custkey"]).map_batches(c_part, batch_format="pandas")
-    out = (
-        cust.union(orders).groupby("bp")
-        .map_groups(hist_partial, batch_format="pandas")
-        .groupby("c_count").aggregate(Sum("custdist", alias_name="custdist"))
-        .to_pandas()
-    )
+    partials = (cust.union(orders).groupby("bp")
+                .map_groups(hist_partial, batch_format="pandas").to_pandas())
+    out = partials.groupby("c_count", as_index=False)["custdist"].sum()
     out["custdist"] = out["custdist"].astype("int64")
     out["c_count"] = out["c_count"].astype("int64")
     return out.sort_values(["custdist", "c_count"], ascending=[False, False]).reset_index(drop=True)
@@ -4699,11 +4666,11 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
     min_total. Scale shape: the global positive-balance average is a
     scalar aggregate; the anti-join runs co-partitioned on hash(custkey)
     (qualifying custkeys are ORDER-cardinality in the worst case — never
-    broadcast); final groupby is 5 segments.
+    broadcast); the driver sums the partials into the 5 segments.
 
     Exact parity: balances as integer cents; the above-average predicate
     is cents * cnt > sum_cents (exact int); totals one float division."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
 
@@ -4749,13 +4716,11 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         o_part, batch_format="pandas")
-    out = (
+    partials = (
         cust.map_batches(c_part, batch_format="pandas").union(orders)
-        .groupby("bp").map_groups(anti, batch_format="pandas")
-        .groupby("seg").aggregate(Sum("numcust", alias_name="numcust"),
-                                  Sum("cents", alias_name="cents"))
-        .to_pandas()
+        .groupby("bp").map_groups(anti, batch_format="pandas").to_pandas()
     )
+    out = partials.groupby("seg", as_index=False)[["numcust", "cents"]].sum()
     out["numcust"] = out["numcust"].astype("int64")
     out["totacctbal"] = round_half_away(out["cents"].to_numpy(dtype=np.float64) / 100.0, 2)
     return out.rename(columns={"seg": "c_mktsegment"})[

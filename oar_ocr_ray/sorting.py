@@ -369,36 +369,3 @@ def sort_with_region_hierarchy(elem_boxes: np.ndarray, region_boxes: np.ndarray,
             seen = {int(unassigned[i]) for i in inner}
             result.extend(int(m) for m in unassigned if int(m) not in seen)
     return np.asarray(result, dtype=np.int64)
-
-
-def sort_layout_boxes(boxes: np.ndarray, image_width: float) -> np.ndarray:
-    """Legacy column-aware layout sort (layout_utils.rs:167-240): stable
-    (y_min, x_min) sort, then a single pass bucketing boxes into a left
-    column (x0 < w/4 and x1 < 3w/5) or right column (x0 > 2w/5); any
-    full-width box flushes the accumulated left-then-right columns before
-    itself. Trailing columns are appended left-then-right. Column-internal
-    order is the stable (y, x) order (the reference's final per-column
-    y-only sort is stable, hence a no-op). Returns indices."""
-    b = np.atleast_2d(np.asarray(boxes, dtype=np.float64)).reshape(-1, 4)
-    n = len(b)
-    if n <= 1:
-        return np.arange(n, dtype=np.int64)
-    order = np.lexsort((b[:, 0], b[:, 1]))  # stable (y_min, x_min)
-    w = float(image_width)
-    result: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
-    for i in order:
-        x0, x1 = b[i, 0], b[i, 2]
-        if x0 < w / 4.0 and x1 < 3.0 * w / 5.0:
-            left.append(int(i))
-        elif x0 > 2.0 * w / 5.0:
-            right.append(int(i))
-        else:
-            result.extend(left)
-            result.extend(right)
-            left, right = [], []
-            result.append(int(i))
-    result.extend(left)
-    result.extend(right)
-    return np.asarray(result, dtype=np.int64)

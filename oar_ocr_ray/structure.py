@@ -15,9 +15,9 @@ distributed joins):
     (structure.rs:1899-1958, sorting.rs:584-607);
   - orphan OCR text -> new Text elements unless IoA > 0.3 with a table
     (stitching.rs:132-201);
-  - stitch: per-element smart join of matched OCR texts with the element
-    bbox as container (stitching.rs:603-697), XY-cut reading order,
-    order_index assignment;
+  - stitch (`stitch_page_enhanced`): per-element smart join of matched
+    OCR texts with the element bbox as container (stitching.rs:603-697),
+    enhanced or region-hierarchy reading order, order_index assignment;
   - title heading levels from numbering (structure.rs:17-95) and
     markdown export (structure.rs:227).
 """
@@ -29,7 +29,6 @@ import re
 import numpy as np
 
 from .geometry import box_area, intersection_area, ioa_matrix
-from .sorting import sort_by_xycut
 from .textproc import smart_join
 
 _CJK_NUM = "一二三四五六七八九十百千万亿零壹贰叁肆伍陆柒捌玖拾"
@@ -126,78 +125,6 @@ def assign_to_regions(elem_boxes: np.ndarray, region_boxes: np.ndarray, threshol
     return out.astype(np.int64)
 
 
-def stitch_page(
-    layout_boxes: np.ndarray,
-    layout_labels: list[str],
-    layout_scores: np.ndarray,
-    ocr_boxes: np.ndarray,
-    ocr_texts: list[str],
-    *,
-    overlap_threshold: float = 0.5,
-    orphan_table_ioa: float = 0.3,
-) -> list[dict]:
-    """Full per-page stitch (ResultStitcher::stitch semantics):
-
-    1. overlap-dedup layout elements;
-    2. match OCR boxes to surviving elements (w/h > 3 px overlap);
-    3. per element, smart-join its matched texts with the element bbox as
-       container (same-line spacing + paragraph-break heuristic);
-    4. unmatched OCR boxes become new Text elements unless inside a table
-       (IoA > 0.3);
-    5. XY-cut reading order over all elements, assign order_index.
-
-    Returns elements as dicts (bbox, label, score, text, order_index),
-    sorted by order_index.
-    """
-    lb = np.atleast_2d(np.asarray(layout_boxes, dtype=np.float64)).reshape(-1, 4)
-    ob = np.atleast_2d(np.asarray(ocr_boxes, dtype=np.float64)).reshape(-1, 4)
-    keep = remove_overlap_blocks(lb, list(layout_labels), overlap_threshold) if len(lb) else np.zeros(0, bool)
-    lb = lb[keep]
-    labels = [l for l, k in zip(layout_labels, keep) if k]
-    scores = np.asarray(layout_scores, dtype=np.float64)[keep] if len(keep) else np.zeros(0)
-
-    match = overlap_match(ob, lb)
-    elements: list[dict] = []
-    for j in range(len(lb)):
-        idxs = np.flatnonzero(match[:, j])
-        text = smart_join(
-            [ocr_texts[i] for i in idxs], ob[idxs] if len(idxs) else np.zeros((0, 4)),
-            container=tuple(lb[j]),
-        ) if len(idxs) else ""
-        elements.append(
-            {"bbox": lb[j].tolist(), "label": labels[j], "score": float(scores[j]), "text": text}
-        )
-
-    # orphans -> new Text elements (stitching.rs:132-201)
-    matched_any = match.any(axis=1) if match.size else np.zeros(len(ob), bool)
-    table_boxes = lb[[i for i, l in enumerate(labels) if l == "table"]] if len(lb) else np.zeros((0, 4))
-    for i in np.flatnonzero(~matched_any):
-        if not ocr_texts[i]:
-            continue
-        if len(table_boxes) and ioa_matrix(ob[i:i + 1], table_boxes).max() > orphan_table_ioa:
-            continue
-        elements.append(
-            {"bbox": ob[i].tolist(), "label": "text", "score": 0.0, "text": ocr_texts[i]}
-        )
-
-    if not elements:
-        return []
-    all_boxes = np.array([e["bbox"] for e in elements])
-    order = list(sort_by_xycut(all_boxes, "vertical", 1))
-    # XY-cut works on int-truncated boxes: an element thinner than 1px can
-    # vanish from the projection profile (the reference's `as i32` cast has
-    # the same hole). Never drop content — append any missing indices in
-    # stable order.
-    missing = [i for i in range(len(elements)) if i not in set(order)]
-    order.extend(missing)
-    ordered = []
-    for rank, idx in enumerate(order):
-        e = elements[int(idx)]
-        e["order_index"] = rank
-        ordered.append(e)
-    return ordered
-
-
 def page_to_markdown(elements: list[dict]) -> str:
     """Markdown export (structure.rs:227): titles get heading levels from
     their numbering; text elements are paragraphs; images placeholders."""
@@ -221,87 +148,6 @@ def page_to_markdown(elements: list[dict]) -> str:
         elif text:
             parts.append(text)
     return "\n\n".join(p for p in parts if p)
-
-
-# ---------------------------------------------------------------------------
-# NMS with per-class merge (layout_postprocess.rs:553-700)
-# ---------------------------------------------------------------------------
-
-def merge_boxes(box1: np.ndarray, box2: np.ndarray, mode: str) -> np.ndarray:
-    """Merge two AABBs (layout_postprocess.rs:553-586): 'large' keeps the
-    bigger-area box, 'small' the smaller, 'union' their union."""
-    b1 = np.asarray(box1, dtype=np.float64)
-    b2 = np.asarray(box2, dtype=np.float64)
-    a1 = (b1[2] - b1[0]) * (b1[3] - b1[1])
-    a2 = (b2[2] - b2[0]) * (b2[3] - b2[1])
-    if mode == "large":
-        return b1 if a1 >= a2 else b2
-    if mode == "small":
-        return b1 if a1 <= a2 else b2
-    if mode == "union":
-        return np.array([min(b1[0], b2[0]), min(b1[1], b2[1]),
-                         max(b1[2], b2[2]), max(b1[3], b2[3])])
-    raise ValueError(f"unknown merge mode {mode!r}")
-
-
-def _iou_pair(b1: np.ndarray, b2: np.ndarray) -> float:
-    x0 = max(b1[0], b2[0]); y0 = max(b1[1], b2[1])
-    x1 = min(b1[2], b2[2]); y1 = min(b1[3], b2[3])
-    if x1 <= x0 or y1 <= y0:
-        return 0.0
-    inter = (x1 - x0) * (y1 - y0)
-    a1 = (b1[2] - b1[0]) * (b1[3] - b1[1])
-    a2 = (b2[2] - b2[0]) * (b2[3] - b2[1])
-    union = a1 + a2 - inter
-    return inter / union if union > 0 else 0.0
-
-
-def nms_with_merge(
-    boxes: np.ndarray,
-    classes: np.ndarray,
-    scores: np.ndarray,
-    class_merge_modes: dict[str, str] | None = None,
-    class_labels: dict[int, str] | None = None,
-    iou_threshold: float = 0.5,
-    max_detections: int = 100,
-):
-    """NMS that MERGES same-class overlaps instead of discarding them
-    (layout_postprocess.rs:589-668 apply_nms_with_merge).
-
-    Score-descending greedy pass; each seed absorbs every not-yet-processed
-    same-class box whose IoU with the RUNNING merged box exceeds the
-    threshold, merging per the class's mode ('large' default / 'small' /
-    'union') and keeping the max score. Returns (boxes, classes, scores).
-    """
-    b = np.atleast_2d(np.asarray(boxes, dtype=np.float64)).reshape(-1, 4)
-    cls = np.asarray(classes, dtype=np.int64)
-    sc = np.asarray(scores, dtype=np.float64)
-    if len(b) == 0:
-        return b, cls, sc
-    class_labels = class_labels or {}
-    class_merge_modes = class_merge_modes or {}
-    order = np.argsort(-sc, kind="stable")
-    processed = np.zeros(len(b), dtype=bool)
-    out_b, out_c, out_s = [], [], []
-    for i in order:
-        if processed[i]:
-            continue
-        processed[i] = True
-        mode = class_merge_modes.get(class_labels.get(int(cls[i]), "unknown"), "large")
-        merged = b[i].copy()
-        best = sc[i]
-        for j in order:
-            if j != i and not processed[j] and cls[i] == cls[j]:
-                if _iou_pair(merged, b[j]) > iou_threshold:
-                    merged = merge_boxes(merged, b[j], mode)
-                    best = max(best, sc[j])
-                    processed[j] = True
-        out_b.append(merged)
-        out_c.append(int(cls[i]))
-        out_s.append(best)
-        if len(out_b) >= max_detections:
-            break
-    return np.asarray(out_b).reshape(-1, 4), np.asarray(out_c, dtype=np.int64), np.asarray(out_s)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +405,11 @@ def stitch_page_enhanced(
     formulas: list[dict] | None = None,
 ) -> list[dict]:
     """Per-page stitch with the ENHANCED reading order (the PP-StructureV3
-    flow, structure.rs:2271-2468 + layout_sorting.rs): same dedup / match /
-    join / orphan steps as stitch_page, but elements are ordered by
+    flow, structure.rs:2271-2468 + layout_sorting.rs): overlap-dedup the
+    layout elements, smart-join each one's matched OCR texts, turn orphan
+    OCR texts outside tables into Text elements, then order them by
     sort_layout_enhanced (header-first, footer-last, XY-cut text core,
-    weighted-distance title/vision insertion) instead of plain XY-cut.
+    weighted-distance title/vision insertion).
 
     table_html (aligned with layout_boxes, None per non-wired entry): a
     wired table's analyzed HTML structure replaces the smart-joined text

@@ -1,16 +1,13 @@
-"""Table-structure operators: token grid parsing, HTML rendering, OCR/formula
--> cell assignment.
+"""Table-structure operators: HTML rendering, OCR -> cell assignment, cell
+reconciliation and the grid stand-in for table analysis.
 
 Pure per-table functions (used inside `map_batches` over table rows)
-reimplementing the semantics of:
-  - /root/reference/src/processors/table_structure_decode.rs:37-390
-    (wrap_table_html / wrap_table_html_with_content / parse_cell_grid_info:
-    structure tokens -> HTML and (row, col, rowspan, colspan) grid, with
-    colspan/rowspan occupancy tracking);
-  - /root/reference/src/oarocr/stitching.rs:319-357 (OCR -> cell greedy
-    min-cost assignment, cost = (1 - IoU, L1 center distance));
-  - /root/reference/src/oarocr/stitching.rs:421-482 (formula -> cell attach
-    by max IoU above threshold, appended as $latex$).
+reimplementing the semantics of the reference's:
+  - src/processors/table_structure_decode.rs:37-390 (wrap_table_html /
+    wrap_table_html_with_content: structure tokens -> HTML);
+  - src/oarocr/stitching.rs:319-357 (OCR -> cell greedy min-cost
+    assignment, cost = (1 - IoU, L1 center distance));
+  - src/processors/layout_utils.rs:255-578 (cell reconciliation).
 """
 
 from __future__ import annotations
@@ -48,51 +45,6 @@ def _td_attrs(tokens: list[str], idx: int) -> tuple[str, int, int, int]:
         j += 1
     spans = dict((m.group(1), int(m.group(2))) for m in _SPAN_RE.finditer(attrs))
     return attrs.rstrip(">"), spans.get("colspan", 1), spans.get("rowspan", 1), j
-
-
-def parse_cell_grid_info(tokens: list[str]) -> list[dict]:
-    """Structure tokens -> one {row, col, row_span, col_span} per <td>, in
-    order of appearance, with rowspan occupancy tracked across rows."""
-    cells: list[dict] = []
-    row = col = 0
-    occupied: set[tuple[int, int]] = set()
-    idx = 0
-    while idx < len(tokens):
-        tok = tokens[idx]
-        if tok == "<tr>":
-            col = 0
-            while (row, col) in occupied:
-                col += 1
-            idx += 1
-            continue
-        if tok == "</tr>":
-            row += 1
-            idx += 1
-            continue
-        if tok == "<td></td>":
-            while (row, col) in occupied:
-                col += 1
-            cells.append({"row": row, "col": col, "row_span": 1, "col_span": 1})
-            col += 1
-            while (row, col) in occupied:
-                col += 1
-            idx += 1
-            continue
-        if tok.startswith("<td"):
-            _attrs, cspan, rspan, nxt = _td_attrs(tokens, idx)
-            while (row, col) in occupied:
-                col += 1
-            cells.append({"row": row, "col": col, "row_span": rspan, "col_span": cspan})
-            for r in range(row, row + rspan):
-                for c in range(col, col + cspan):
-                    occupied.add((r, c))
-            col += cspan
-            while (row, col) in occupied:
-                col += 1
-            idx = nxt
-            continue
-        idx += 1
-    return cells
 
 
 def render_table_html(tokens: list[str], cell_texts: list[str | None] | None = None) -> str:
@@ -150,32 +102,6 @@ def assign_ocr_to_cells(ocr_boxes: np.ndarray, cell_boxes: np.ndarray) -> np.nda
         costs = sorted(((1.0 - iou[i, j], dist[i, j], j) for j in cand))
         out[i] = costs[0][2]
     return out
-
-
-def attach_formulas_to_cells(
-    formula_boxes: np.ndarray,
-    latex: list[str],
-    cell_boxes: np.ndarray,
-    cell_texts: list[str],
-    min_iou: float = 0.01,
-) -> list[str]:
-    """Append each formula's $latex$ to its max-IoU cell (above min_iou);
-    degenerate boxes (w or h <= 1) skipped. Returns updated cell texts."""
-    fb = np.atleast_2d(np.asarray(formula_boxes, dtype=np.float64)).reshape(-1, 4)
-    cb = np.atleast_2d(np.asarray(cell_boxes, dtype=np.float64)).reshape(-1, 4)
-    texts = list(cell_texts)
-    if len(fb) == 0 or len(cb) == 0:
-        return texts
-    iou = iou_matrix(fb, cb)
-    for i in range(len(fb)):
-        if fb[i, 2] - fb[i, 0] <= 1.0 or fb[i, 3] - fb[i, 1] <= 1.0:
-            continue
-        j = int(iou[i].argmax())
-        if iou[i, j] > min_iou:
-            tex = latex[i]
-            formatted = tex if tex.startswith("$") and tex.endswith("$") else f"${tex}$"
-            texts[j] = f"{texts[j]} {formatted}".strip() if texts[j] else formatted
-    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -244,69 +170,6 @@ def reconcile_table_cells(structure_cells: np.ndarray, detected_cells: np.ndarra
             m = dc[ids]
             out[j] = [m[:, 0].min(), m[:, 1].min(), m[:, 2].max(), m[:, 3].max()]
     return out
-
-
-def reprocess_table_cells_with_ocr(
-    detected_cells: np.ndarray,
-    detected_scores: np.ndarray,
-    ocr_boxes: np.ndarray,
-    target_n: int,
-) -> np.ndarray:
-    """Adjust detected cells to the structure model's expected count using
-    OCR coverage (layout_utils.rs:333-427): top-N by score when too many;
-    OCR boxes not covered (cumulative IoA >= 0.6) become supplements,
-    merged or clustered to target_n; final fallback clusters OCR boxes when
-    still <= 0.6 * target_n."""
-    dc = np.atleast_2d(np.asarray(detected_cells, dtype=np.float64)).reshape(-1, 4)
-    ob = np.atleast_2d(np.asarray(ocr_boxes, dtype=np.float64)).reshape(-1, 4)
-    if target_n == 0:
-        return np.zeros((0, 4))
-    if len(dc) == 0:
-        return combine_rectangles_kmeans(ob, target_n)
-    scores = (np.asarray(detected_scores, dtype=np.float64)
-              if len(detected_scores) == len(dc) else np.ones(len(dc)))
-    cells = dc
-    more_cells = False
-    if len(cells) == target_n:
-        return cells
-    if len(cells) > target_n:
-        more_cells = True
-        keep = np.argsort(-scores, kind="stable")[:target_n]
-        cells = cells[keep]
-
-    miss = []
-    for o in ob:
-        area = (o[2] - o[0]) * (o[3] - o[1])
-        if area <= 0:
-            miss.append(o)
-            continue
-        ioa_sum = 0.0
-        covered = False
-        for c in cells:
-            x0 = max(o[0], c[0]); y0 = max(o[1], c[1])
-            x1 = min(o[2], c[2]); y1 = min(o[3], c[3])
-            inter = max(x1 - x0, 0.0) * max(y1 - y0, 0.0)
-            ioa = inter / area
-            if ioa > 0:
-                ioa_sum += ioa
-            if ioa >= 0.6 or ioa_sum >= 0.6:
-                covered = True
-                break
-        if not covered:
-            miss.append(o)
-    miss = np.asarray(miss).reshape(-1, 4)
-
-    if len(miss) == 0:
-        final = cells
-    elif more_cells:
-        final = combine_rectangles_kmeans(np.concatenate([cells, miss]), target_n)
-    else:
-        need = max(target_n - len(cells), 0)
-        supp = combine_rectangles_kmeans(miss, need)
-        final = np.concatenate([cells, supp]) if len(supp) else cells
-    if len(final) <= 0.6 * target_n:
-        final = combine_rectangles_kmeans(ob, target_n)
-    return final
 
 
 # ---------------------------------------------------------------------------

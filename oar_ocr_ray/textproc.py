@@ -10,8 +10,9 @@ text assembly/cleanup semantics:
   - empty/low-score text filtering (/root/reference/src/oarocr/structure.rs:2200).
 
 `strip_boilerplate` is the per-string reference implementation (used by the
-golden oracle); `strip_boilerplate_series` is the vectorized pandas version
-used inside `map_batches` — tests assert they agree byte-for-byte.
+golden oracle); `strip_boilerplate_arrow` is the Arrow-kernel version used
+inside `map_batches` (the flagship's text spans and `boilerplate_strip_docs`)
+— tests assert they agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 
 # Rule-based boilerplate blocklist (nav / footer / cookie chrome), the
 # small-side "lookup table" of this pipeline. At cluster scale this would be
@@ -51,19 +51,7 @@ _BOILER_FULL = re.compile(
     r"^\s*(?:" + "|".join(BOILERPLATE_PATTERNS) + r")\s*$",
     re.IGNORECASE,
 )
-# multiline variant for the vectorized path: match whole boilerplate lines
-# (trailing [\r] so CRLF inputs strip identically to the scalar path, whose
-# \s*$ consumes the \r)
-_BOILER_LINE_ML = re.compile(
-    r"(?im)^[ \t]*(?:" + "|".join(BOILERPLATE_PATTERNS) + r")[ \t\r]*$"
-)
 _WS = re.compile(r"[ \t\r\f\v]+")
-_NL_WS = re.compile(r"[ \t]*\n[ \t]*")
-_MULTI_NL = re.compile(r"\n{2,}")
-
-
-def is_boilerplate_line(line: str) -> bool:
-    return bool(_BOILER_FULL.match(line))
 
 
 def strip_boilerplate(text: str) -> str:
@@ -83,16 +71,6 @@ def strip_boilerplate(text: str) -> str:
         if norm:
             out_lines.append(norm)
     return "\n".join(out_lines)
-
-
-def strip_boilerplate_series(s: pd.Series) -> pd.Series:
-    """Vectorized pandas equivalent of `strip_boilerplate` (hot path)."""
-    s = s.fillna("")
-    s = s.str.replace(_BOILER_LINE_ML, "", regex=True)
-    s = s.str.replace(_WS, " ", regex=True)
-    s = s.str.replace(_NL_WS, "\n", regex=True)
-    s = s.str.replace(_MULTI_NL, "\n", regex=True)
-    return s.str.strip()
 
 
 # RE2 class equal to Python re's Unicode \s without \n (a line never

@@ -131,15 +131,6 @@ def test_convex_hull():
     assert len(hull) == 4  # interior point excluded
 
 
-def test_approx_poly_dp():
-    from oar_ocr_ray.geometry import approx_poly_dp
-
-    line = np.array([[0, 0], [1, 0.01], [2, 0], [3, 0.01], [4, 0]])
-    assert len(approx_poly_dp(line, 0.1)) == 2
-    zig = np.array([[0, 0], [2, 2], [4, 0]])
-    assert len(approx_poly_dp(zig, 0.5)) == 3
-
-
 def test_unclip_box_grows_by_area_ratio_over_perimeter():
     from oar_ocr_ray.geometry import unclip_box, quad_to_aabb
 

@@ -1,13 +1,10 @@
 import numpy as np
-import pandas as pd
 
 from oar_ocr_ray.png_codec import decode_png, encode_png
 from oar_ocr_ray.textproc import (
-    is_boilerplate_line,
     needs_space_after,
     smart_join,
     strip_boilerplate,
-    strip_boilerplate_series,
 )
 
 
@@ -26,10 +23,10 @@ def test_png_grayscale_input():
 
 
 def test_boilerplate_lines():
-    assert is_boilerplate_line("  Home | About | Contact ")
-    assert is_boilerplate_line("© 2024 Example Corp")
-    assert is_boilerplate_line("Cookie Policy")
-    assert not is_boilerplate_line("The quick brown fox")
+    assert strip_boilerplate("  Home | About | Contact ") == ""
+    assert strip_boilerplate("© 2024 Example Corp") == ""
+    assert strip_boilerplate("Cookie Policy") == ""
+    assert strip_boilerplate("The quick brown fox") != ""
 
 
 def test_strip_boilerplate():
@@ -38,6 +35,12 @@ def test_strip_boilerplate():
 
 
 def test_strip_series_matches_scalar():
+    """The column strip (the Arrow kernels that the flagship and
+    `queries.boilerplate_strip_docs` run) equals the per-string golden."""
+    import pyarrow as pa
+
+    from oar_ocr_ray.textproc import strip_boilerplate_arrow
+
     samples = [
         "Home | About | Contact\nReal   content here.\n\n© 2024 Foo\nMore text.",
         "",
@@ -48,7 +51,7 @@ def test_strip_series_matches_scalar():
         "Privacy Policy | Terms of Service\nkeep me",
         "line with trailing   \n  indented line",
     ]
-    got = strip_boilerplate_series(pd.Series(samples)).tolist()
+    got = strip_boilerplate_arrow(pa.array(samples, pa.string())).to_pylist()
     want = [strip_boilerplate(s) for s in samples]
     assert got == want
 
@@ -84,19 +87,17 @@ def test_smart_join_soft_wrap():
 
 def test_strip_boilerplate_arrow_matches_series_and_scalar():
     """The Arrow-native RE2 kernel path (the flagship text-span stage)
-    must stay byte-identical to the pandas-series and per-string golden
-    implementations, including CRLF, case-insensitive boilerplate,
+    must stay byte-identical to the per-string golden implementation,
+    including CRLF, case-insensitive boilerplate,
     whitespace collapse and full-strip edge cases — plus randomized
     interleavings of boilerplate lines and corpus-like text."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
     from oar_ocr_ray.textproc import (
         BOILERPLATE_PATTERNS,
         strip_boilerplate,
         strip_boilerplate_arrow,
-        strip_boilerplate_series,
     )
 
     fixed = [
@@ -122,8 +123,7 @@ def test_strip_boilerplate_arrow_matches_series_and_scalar():
     rand = ["\n".join(rng.choice(lines_pool, size=rng.integers(1, 7)))
             for _ in range(50)]
     cases = fixed + rand
-    ser = strip_boilerplate_series(pd.Series(cases)).tolist()
     arr = strip_boilerplate_arrow(pa.array(cases, pa.string())).to_pylist()
     sca = [strip_boilerplate(c or "") for c in cases]
-    assert ser == arr == sca
+    assert arr == sca
     assert len(BOILERPLATE_PATTERNS) >= 8  # guard: patterns stay shared

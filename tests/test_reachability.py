@@ -1,9 +1,11 @@
-"""Every `oar_ocr_ray` module is reached from an entry point.
+"""Every `oar_ocr_ray` module and top-level name is reached from an entry
+point.
 
-The walk follows `import` and `from` statements (function-local ones too)
-from the repo's entry points: bench.py, __ray_entry__.py, tools/*.py and
-perfbench's non-test modules. A module nothing reaches is either deleted or
-named below, so new unreached code shows up here instead of living on
+The entry points are bench.py, __ray_entry__.py, tools/*.py and
+perfbench's non-test modules. The module walk follows `import` and `from`
+statements (function-local ones too). The name walk follows what each
+reached definition refers to. Unreached code is either deleted or named
+below with its reason, so new dead code shows up here instead of living on
 through its own tests alone."""
 
 import ast
@@ -13,8 +15,32 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGES = ("oar_ocr_ray", "perfbench")
 
-# queued for deletion: reached only by its own tests
-UNREACHED = {"oar_ocr_ray.jpeg_codec"}
+# modules queued for deletion: reached only by their own tests
+UNREACHED = set()
+
+# Top-level names no entry point reaches, kept on purpose.
+# Reference code that a test checks reached code against:
+TEST_ORACLES = {
+    # test_db_boundary: db_boxes_from_bitmap's closed-form unclip
+    "oar_ocr_ray.geometry.unclip_box",
+    "oar_ocr_ray.geometry.min_area_rect",
+    "oar_ocr_ray.geometry.convex_hull",
+    # test_fixtures: the corpus generator's line orientation
+    "oar_ocr_ray.stubs.classify_line_orientation",
+    "oar_ocr_ray.stubs.correct_line_orientation",
+}
+# The next deletion, with the tests that only they serve:
+QUEUED = {
+    "oar_ocr_ray.preprocess.resize_unimernet",
+    "oar_ocr_ray.preprocess.pad_to_target",
+    "oar_ocr_ray.preprocess.resize_short",
+    "oar_ocr_ray.preprocess.center_crop",
+    "oar_ocr_ray.geometry.mask_regions",
+    "oar_ocr_ray.ctc.pred_reverse",
+    "oar_ocr_ray.ctc._RTL_RUN",
+    "oar_ocr_ray.functions.text_analysis.bpe_ish_token_count",
+    "oar_ocr_ray.functions.text_analysis._BPE_ISH",
+}
 
 
 def module_path(name: str) -> str | None:
@@ -52,13 +78,17 @@ def imported_modules(path: str, name: str) -> set[str]:
             for i in range(m.count(".") + 1)}
 
 
-def reached_modules() -> set[str]:
+def entry_points() -> list[str]:
     entries = [os.path.join(ROOT, "bench.py"), os.path.join(ROOT, "__ray_entry__.py")]
     entries += sorted(glob.glob(os.path.join(ROOT, "tools", "*.py")))
     entries += sorted(p for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
                       if not os.path.basename(p).startswith("test_"))
+    return entries
+
+
+def reached_modules() -> set[str]:
     todo = []
-    for path in entries:
+    for path in entry_points():
         rel = os.path.relpath(path, ROOT)[:-3].replace(os.sep, ".")
         todo.extend(imported_modules(path, rel))
     seen = set()
@@ -85,6 +115,79 @@ def all_modules() -> set[str]:
 def test_only_the_queued_modules_are_unreached():
     assert all_modules() - reached_modules() == UNREACHED
 
+
+def identifiers(node: ast.AST) -> set[str]:
+    """Every name `node` may refer to: names, attributes, imported names
+    and strings that are identifiers (perfbench looks some engine names up
+    by string, e.g. "StubDbSession" and "pack_partial")."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The top-level names a module statement defines: a function, a class
+    or a constant bound by a plain assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    names = [t.id for t in targets if isinstance(t, ast.Name)]
+    return [] if names == ["__all__"] else names
+
+
+def unreached_names() -> set[str]:
+    """The `oar_ocr_ray` top-level names that only other unreached names
+    refer to. Names resolve by identifier alone, so a name shared by two
+    modules is reached when either is: the walk errs toward calling code
+    reached. Entry points and module-level code outside definitions are
+    the roots; module-level imports are not, as an import alone runs
+    nothing."""
+    refs = {}       # "module.name" -> identifiers in its definition
+    roots = set()   # identifiers that run on import or from an entry point
+    aliases = {}    # `import x as y`: reaching y reaches x
+    for path in entry_points() + sorted(module_path(m) for m in all_modules()):
+        module = os.path.relpath(path, ROOT)[:-3].replace(os.sep, ".").removesuffix(".__init__")
+        tree = ast.parse(open(path).read(), path)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.alias) and n.asname:
+                aliases.setdefault(n.asname, set()).add(n.name.rpartition(".")[2])
+        in_package = module.startswith("oar_ocr_ray")
+        for stmt in tree.body:
+            names = defined_names(stmt) if in_package else []
+            for name in names:
+                node = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else stmt
+                refs[f"{module}.{name}"] = identifiers(node) if node else set()
+            if not names and not (in_package and isinstance(stmt, (ast.Import, ast.ImportFrom))):
+                roots |= identifiers(stmt)
+    by_ident = {}
+    for key in refs:
+        by_ident.setdefault(key.rpartition(".")[2], []).append(key)
+    reached, seen, todo = set(), set(), list(roots)
+    while todo:
+        ident = todo.pop()
+        if ident in seen:
+            continue
+        seen.add(ident)
+        todo.extend(aliases.get(ident, ()))
+        for key in by_ident.get(ident, ()):
+            reached.add(key)
+            todo.extend(refs[key])
+    return set(refs) - reached
+
+
+def test_only_the_allowlisted_names_are_unreached():
+    """A stale allowlist entry fails too: each one must still be
+    unreached."""
+    assert unreached_names() == TEST_ORACLES | QUEUED
 
 
 def test_perfbench_patches_resolve(tmp_path):

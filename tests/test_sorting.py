@@ -107,25 +107,9 @@ def test_split_projection_none():
     assert split_projection_profile(np.array([0, 0, 0]), 0, 1) is None
 
 
-def test_sort_layout_boxes_two_column():
-    from oar_ocr_ray.sorting import sort_layout_boxes
-
-    w = 100.0
-    boxes = np.array([
-        [10, 50, 40, 60],   # 0 left col, lower
-        [60, 10, 90, 20],   # 1 right col, upper
-        [10, 10, 40, 20],   # 2 left col, upper
-        [60, 50, 90, 60],   # 3 right col, lower
-    ], dtype=float)
-    got = sort_layout_boxes(boxes, w).tolist()
-    # left column (y order) then right column (y order)
-    assert got == [2, 0, 1, 3]
-
-
 def test_sort_layout_boxes_fullwidth_flushes_columns():
-    from oar_ocr_ray.sorting import sort_layout_boxes
+    from oar_ocr_ray.sorting import sort_layout_enhanced
 
-    w = 100.0
     boxes = np.array([
         [10, 10, 40, 20],   # 0 left, above title
         [60, 12, 90, 22],   # 1 right, above title
@@ -133,12 +117,12 @@ def test_sort_layout_boxes_fullwidth_flushes_columns():
         [10, 50, 40, 60],   # 3 left, below title
         [60, 52, 90, 62],   # 4 right, below title
     ], dtype=float)
-    got = sort_layout_boxes(boxes, w).tolist()
+    got = sort_layout_enhanced(boxes, ["text"] * 5, 100.0, 100.0).tolist()
     assert got == [0, 1, 2, 3, 4]
 
 
 def test_sort_layout_boxes_singleton_and_empty():
-    from oar_ocr_ray.sorting import sort_layout_boxes
+    from oar_ocr_ray.sorting import sort_layout_enhanced
 
-    assert sort_layout_boxes(np.zeros((0, 4)), 50.0).tolist() == []
-    assert sort_layout_boxes(np.array([[1, 2, 3, 4.0]]), 50.0).tolist() == [0]
+    assert sort_layout_enhanced(np.zeros((0, 4)), [], 50.0, 50.0).tolist() == []
+    assert sort_layout_enhanced(np.array([[1, 2, 3, 4.0]]), ["text"], 50.0, 50.0).tolist() == [0]

@@ -10,7 +10,7 @@ from oar_ocr_ray.structure import (
     overlap_match,
     page_to_markdown,
     remove_overlap_blocks,
-    stitch_page,
+    stitch_page_enhanced,
 )
 
 
@@ -79,7 +79,8 @@ def test_stitch_page_full():
         ]
     )
     texts = ["1.2 Methods", "alpha beta", "gamma delta", "orphan line"]
-    elems = stitch_page(layout_boxes, labels, scores, ocr_boxes, texts)
+    elems = stitch_page_enhanced(layout_boxes, labels, scores, ocr_boxes, texts,
+                                 page_w=100, page_h=220)
     assert len(elems) == 3  # dedup removed one block; orphan added one
     assert elems[0]["label"] == "paragraph_title"
     assert elems[0]["text"] == "1.2 Methods"
@@ -96,10 +97,11 @@ def test_stitch_page_full():
 
 def test_stitch_orphan_in_table_suppressed():
     layout_boxes = np.array([[0, 0, 100, 100]])
-    elems = stitch_page(
+    elems = stitch_page_enhanced(
         layout_boxes, ["table"], np.array([0.9]),
         np.array([[200, 200, 210, 210], [10, 10, 90, 90]]),
         ["outside", ""],  # second box inside table but empty text
+        page_w=220, page_h=220,
     )
     # table element + the outside orphan; in-table empty text dropped
     labels = sorted(e["label"] for e in elems)
@@ -107,4 +109,5 @@ def test_stitch_orphan_in_table_suppressed():
 
 
 def test_stitch_empty():
-    assert stitch_page(np.zeros((0, 4)), [], np.zeros(0), np.zeros((0, 4)), []) == []
+    assert stitch_page_enhanced(np.zeros((0, 4)), [], np.zeros(0), np.zeros((0, 4)), [],
+                                page_w=50, page_h=50) == []

@@ -1,19 +1,16 @@
-"""Reference-parity vectors for the round-2 structure operators:
-NMS-with-merge (layout_postprocess.rs:553-700), OCR-box splitting by
-containers (structure.rs:2017-2108) and by table cells
+"""Reference-parity vectors for the round-2 structure operators: OCR-box
+splitting by containers (structure.rs:2017-2108) and by table cells
 (structure.rs:1418-1639), enhanced layout sort (layout_sorting.rs:14-471),
 region-hierarchy sort (sorting.rs:612-739), HTML export
 (domain/structure.rs:397-532)."""
 
 import numpy as np
 
+from oar_ocr_ray.geometry import iou_matrix
 from oar_ocr_ray.sorting import sort_layout_enhanced, sort_with_region_hierarchy
 from oar_ocr_ray.structure import (
-    _iou_pair,
     escape_html,
     get_overlapping_cells,
-    merge_boxes,
-    nms_with_merge,
     page_to_html,
     split_box_by_cells,
     split_boxes_by_containers,
@@ -24,66 +21,14 @@ from oar_ocr_ray.structure import (
 # --- IoU vectors (layout_postprocess.rs tests:722-745) ---
 
 def test_iou_identical_boxes():
-    b = np.array([0.0, 0.0, 100.0, 100.0])
-    assert _iou_pair(b, b) == 1.0
+    b = np.array([[0.0, 0.0, 100.0, 100.0]])
+    assert iou_matrix(b, b)[0, 0] == 1.0
 
 
 def test_iou_disjoint_boxes():
-    a = np.array([0.0, 0.0, 100.0, 100.0])
-    b = np.array([200.0, 200.0, 300.0, 300.0])
-    assert _iou_pair(a, b) == 0.0
-
-
-# --- merge modes (layout_postprocess.rs:553-586) ---
-
-def test_merge_modes():
-    big = np.array([0.0, 0.0, 10.0, 10.0])
-    small = np.array([8.0, 8.0, 12.0, 12.0])
-    assert merge_boxes(big, small, "large").tolist() == big.tolist()
-    assert merge_boxes(big, small, "small").tolist() == small.tolist()
-    assert merge_boxes(big, small, "union").tolist() == [0.0, 0.0, 12.0, 12.0]
-
-
-def test_nms_with_merge_union_mode():
-    boxes = np.array([[0, 0, 10, 10], [8, 0, 18, 10], [50, 50, 60, 60]], dtype=float)
-    classes = np.array([0, 0, 0])
-    scores = np.array([0.9, 0.8, 0.7])
-    out_b, out_c, out_s = nms_with_merge(
-        boxes, classes, scores,
-        class_labels={0: "text"}, class_merge_modes={"text": "union"},
-        iou_threshold=0.1,
-    )
-    # first two merge to their union (seed = higher score), third survives
-    assert out_b.tolist() == [[0, 0, 18, 10], [50, 50, 60, 60]]
-    assert out_s.tolist() == [0.9, 0.7]
-    assert out_c.tolist() == [0, 0]
-
-
-def test_nms_with_merge_respects_class_boundary():
-    boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11]], dtype=float)
-    out_b, out_c, _ = nms_with_merge(boxes, np.array([0, 1]), np.array([0.9, 0.8]),
-                                     iou_threshold=0.1)
-    assert len(out_b) == 2  # different classes never merge
-
-
-def test_nms_with_merge_large_default_and_running_merge():
-    # chain: A overlaps B, B overlaps C, A not C. 'large' keeps the running
-    # larger box; the running box after absorbing B can then reach C.
-    boxes = np.array([[0, 0, 20, 10], [15, 0, 40, 10], [35, 0, 50, 10]], dtype=float)
-    classes = np.zeros(3, dtype=int)
-    scores = np.array([0.5, 0.9, 0.4])
-    out_b, _, out_s = nms_with_merge(boxes, classes, scores, iou_threshold=0.05)
-    # seed = B (0.9, area 250); absorbs A? iou(B,A)=5*10/(250+200-50)=0.125>0.05 -> keep larger B
-    # then C: iou(B,C)=5*10/(250+150-50)=0.142>0.05 -> keep larger B
-    assert out_b.tolist() == [[15, 0, 40, 10]]
-    assert out_s.tolist() == [0.9]
-
-
-def test_nms_max_detections():
-    boxes = np.array([[0, 0, 1, 1], [10, 10, 11, 11], [20, 20, 21, 21]], dtype=float)
-    out_b, _, _ = nms_with_merge(boxes, np.zeros(3, int), np.array([0.3, 0.2, 0.1]),
-                                 max_detections=2)
-    assert len(out_b) == 2
+    a = np.array([[0.0, 0.0, 100.0, 100.0]])
+    b = np.array([[200.0, 200.0, 300.0, 300.0]])
+    assert iou_matrix(a, b)[0, 0] == 0.0
 
 
 # --- split by containers (structure.rs:2017-2108) ---

@@ -5,33 +5,8 @@ import numpy as np
 
 from oar_ocr_ray.table import (
     assign_ocr_to_cells,
-    attach_formulas_to_cells,
-    parse_cell_grid_info,
     render_table_html,
 )
-
-
-def test_grid_simple_colspan():
-    tokens = ["<tr>", "<td></td>", '<td colspan="2"></td>', "</tr>",
-              "<tr>", "<td></td>", "<td></td>", "<td></td>", "</tr>"]
-    grid = parse_cell_grid_info(tokens)
-    assert [(c["row"], c["col"], c["row_span"], c["col_span"]) for c in grid] == [
-        (0, 0, 1, 1), (0, 1, 1, 2), (1, 0, 1, 1), (1, 1, 1, 1), (1, 2, 1, 1)
-    ]
-
-
-def test_grid_rowspan_occupancy():
-    tokens = ["<tr>", '<td rowspan="2"></td>', "<td></td>", "</tr>",
-              "<tr>", "<td></td>", "</tr>"]
-    grid = parse_cell_grid_info(tokens)
-    # second-row cell must skip col 0 (occupied by the rowspan)
-    assert [(c["row"], c["col"]) for c in grid] == [(0, 0), (0, 1), (1, 1)]
-
-
-def test_grid_split_td_tokens():
-    tokens = ["<tr>", "<td", ' colspan="2"', ">", "</td>", "<td></td>", "</tr>"]
-    grid = parse_cell_grid_info(tokens)
-    assert [(c["row"], c["col"], c["col_span"]) for c in grid] == [(0, 0, 2), (0, 2, 1)]
 
 
 def test_render_html_with_content():
@@ -62,19 +37,6 @@ def test_assign_prefers_higher_iou_then_distance():
     ocr = np.array([[5, 5, 45, 45]])
     # IoU with cell 0 (0.64) > IoU with cell 1 (0.16) -> cell 0
     assert assign_ocr_to_cells(ocr, cells).tolist() == [0]
-
-
-def test_attach_formulas():
-    cells = np.array([[0, 0, 50, 50], [50, 0, 100, 50]])
-    out = attach_formulas_to_cells(
-        np.array([[10, 10, 40, 40], [0.5, 0.5, 1.0, 1.0]]),
-        ["x^2", "ignored-degenerate"],
-        cells, ["existing", ""],
-    )
-    assert out == ["existing $x^2$", ""]
-    # already-wrapped latex not double-wrapped
-    out = attach_formulas_to_cells(np.array([[60, 10, 90, 40]]), ["$y$"], cells, ["", ""])
-    assert out == ["", "$y$"]
 
 
 # --- round-2 table front half (layout_utils.rs:255-578 + TableAnalyzer) ---
@@ -117,30 +79,6 @@ def test_reconcile_table_cells_paths():
     assert out[0].tolist() == [1, 1, 9, 9]
     assert out[1].tolist() == [19, 0, 31, 10]
     assert out[2].tolist() == [40, 0, 50, 10]  # no match -> structure kept
-
-
-def test_reprocess_cells_top_n_by_score():
-    import numpy as np
-
-    from oar_ocr_ray.table import reprocess_table_cells_with_ocr
-
-    cells = np.array([[0, 0, 10, 10], [20, 0, 30, 10], [40, 0, 50, 10]], dtype=float)
-    scores = np.array([0.9, 0.2, 0.8])
-    ocr = np.array([[1, 1, 9, 9], [41, 1, 49, 9]], dtype=float)  # covered by kept cells
-    out = reprocess_table_cells_with_ocr(cells, scores, ocr, target_n=2)
-    assert sorted(out.tolist()) == [[0, 0, 10, 10], [40, 0, 50, 10]]
-
-
-def test_reprocess_cells_supplements_missing_ocr():
-    import numpy as np
-
-    from oar_ocr_ray.table import reprocess_table_cells_with_ocr
-
-    cells = np.array([[0, 0, 10, 10]], dtype=float)
-    ocr = np.array([[100, 0, 110, 10]], dtype=float)  # uncovered
-    out = reprocess_table_cells_with_ocr(cells, np.array([1.0]), ocr, target_n=2)
-    assert len(out) == 2
-    assert [100.0, 0.0, 110.0, 10.0] in out.tolist()
 
 
 def test_cluster_cells_to_grid_row_major():
