@@ -5,9 +5,7 @@ Reimplements the decode semantics of
 apply_with_positions — per-timestep argmax, collapse consecutive repeats,
 drop blanks (index 0), mean confidence over kept timesteps, column indices
 retained) and /root/reference/src/oarocr/ocr.rs:862-985 (ctc_word_boxes:
-CTC column index -> per-character bounding boxes with CJK handling) plus
-/root/reference/src/processors/decode.rs:117-139 (pred_reverse RTL run
-handling).
+CTC column index -> per-character bounding boxes with CJK handling).
 
 The charset convention matches the reference dictionary handling
 (/root/reference/src/oarocr/ocr.rs:214-223): index 0 is the CTC blank,
@@ -15,8 +13,6 @@ characters start at index 1.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
@@ -79,26 +75,6 @@ def encode_ctc_logits(text: str, charset: str = DEFAULT_CHARSET, conf: float = 0
     out = np.full((t, c_dim), (1.0 - conf) / max(1, c_dim - 1), dtype=np.float32)
     out[np.arange(t), rows] = conf
     return out
-
-
-_RTL_RUN = re.compile(r"[a-zA-Z0-9 :*\./%+-]+")
-
-
-def pred_reverse(text: str) -> str:
-    """RTL handling (decode.rs:117-139): reverse the sequence of segments,
-    keeping LTR (alphanumeric/punct) runs intact."""
-    if not text:
-        return text
-    segments: list[str] = []
-    pos = 0
-    for m in _RTL_RUN.finditer(text):
-        if m.start() > pos:
-            segments.extend(text[pos:m.start()])  # RTL chars one by one
-        segments.append(m.group())
-        pos = m.end()
-    if pos < len(text):
-        segments.extend(text[pos:])
-    return "".join(reversed(segments))
 
 
 def is_cjk(ch: str) -> bool:

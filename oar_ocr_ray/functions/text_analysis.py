@@ -9,8 +9,6 @@ in ANSI SQL so each has a DuckDB oracle (see oar_ocr_ray.queries).
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pandas as pd
 
@@ -27,9 +25,6 @@ LANG_PROFILES = {
     "es": {"el", "la", "los", "las", "y", "de", "que", "un", "una", "es", "por", "con"},
 }
 
-_BPE_ISH = re.compile(r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]")
-
-
 def token_count(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
     """Whitespace token count; '' counts 0. SQL-oracle-compatible:
     len(regexp_split_to_array(trim(text), '\\s+')) with empty-string guard."""
@@ -38,13 +33,6 @@ def token_count(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
     n = n.where(t != "", 0)
     df = df.copy()
     df["n_tokens"] = n.astype("int64")
-    return df
-
-
-def bpe_ish_token_count(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
-    """BPE-ish token proxy: alpha runs + digit runs + single punctuation."""
-    df = df.copy()
-    df["n_bpe_tokens"] = df[col].fillna("").str.count(_BPE_ISH).astype("int64")
     return df
 
 

@@ -537,18 +537,3 @@ def db_boxes_from_bitmap(
     out[:, 2] = np.clip(np.rint(cb[keep, 2] + d), 0, w)
     out[:, 3] = np.clip(np.rint(cb[keep, 3] + d), 0, h)
     return out, scores[keep]
-
-
-def mask_regions(img: np.ndarray, bboxes: np.ndarray, fill_value: int = 255) -> np.ndarray:
-    """Fill the given AABB regions with a constant (utils/image.rs:781
-    mask_regions): coordinates truncated to int, out-of-bounds regions
-    clamped (never an error). Returns a modified COPY."""
-    out = np.array(img, copy=True)
-    h, w = out.shape[:2]
-    b = np.atleast_2d(np.asarray(bboxes, dtype=np.float64)).reshape(-1, 4)
-    for x0, y0, x1, y1 in b:
-        xa, ya = max(int(x0), 0), max(int(y0), 0)
-        xb, yb = min(int(x1), w), min(int(y1), h)
-        if xb > xa and yb > ya:
-            out[ya:yb, xa:xb] = fill_value
-    return out

@@ -185,33 +185,9 @@ def to_batch(imgs: list[np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PP-LCNet classification preprocess (models/classification/pp_lcnet.rs:
-# resize-shorter-side + center-crop) and UniMERNet formula preprocess
-# (processors/unimernet_preprocess.rs:44-250: crop-margin, min-side resize
-# with shrink-to-fit, white-pad to target)
+# UniMERNet formula preprocess: crop-margin
+# (processors/unimernet_preprocess.rs:48-110)
 # ---------------------------------------------------------------------------
-
-def resize_short(img: np.ndarray, target: int = 256) -> np.ndarray:
-    """Resize so the SHORTER side equals `target` (aspect preserved,
-    bilinear) — the PP-LCNet eval resize."""
-    from .rectify import resize_bilinear
-
-    h, w = img.shape[:2]
-    if h <= w:
-        nh, nw = target, max(int(round(w * target / h)), 1)
-    else:
-        nh, nw = max(int(round(h * target / w)), 1), target
-    return resize_bilinear(img, nh, nw)
-
-
-def center_crop(img: np.ndarray, size: int = 224) -> np.ndarray:
-    """Center crop to (size, size) (PP-LCNet eval crop). Images smaller
-    than the crop are edge-clamped by the slice."""
-    h, w = img.shape[:2]
-    y0 = max((h - size) // 2, 0)
-    x0 = max((w - size) // 2, 0)
-    return img[y0:y0 + size, x0:x0 + size]
-
 
 def crop_margin(img: np.ndarray, threshold: int = 200) -> np.ndarray:
     """UniMERNet crop-margin (unimernet_preprocess.rs:48-110): min-max
@@ -227,35 +203,3 @@ def crop_margin(img: np.ndarray, threshold: int = 200) -> np.ndarray:
         return img
     ys, xs = np.nonzero(content)
     return img[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
-
-
-def resize_unimernet(img: np.ndarray, target_hw: tuple[int, int] = (192, 672)) -> np.ndarray:
-    """UniMERNet resize (unimernet_preprocess.rs:113-145): scale so the
-    smaller image side matches min(target); if the result overflows the
-    target box, shrink to fit (both legs bilinear)."""
-    from .rectify import resize_bilinear
-
-    th, tw = target_hw
-    h, w = img.shape[:2]
-    min_target = min(th, tw)
-    scale = min_target / w if w <= h else min_target / h
-    nh, nw = int(h * scale), int(w * scale)
-    out = resize_bilinear(img, max(nh, 1), max(nw, 1))
-    ch, cw = out.shape[:2]
-    if cw > tw or ch > th:
-        s = min(tw / cw, th / ch)
-        out = resize_bilinear(out, max(int(ch * s), 1), max(int(cw * s), 1))
-    return out
-
-
-def pad_to_target(img: np.ndarray, target_hw: tuple[int, int] = (192, 672),
-                  fill: int = 255) -> np.ndarray:
-    """UniMERNet centered white padding (unimernet_preprocess.rs:148-170)."""
-    th, tw = target_hw
-    h, w = img.shape[:2]
-    pad_top = max(th - h, 0) // 2
-    pad_left = max(tw - w, 0) // 2
-    shape = (th, tw) if img.ndim == 2 else (th, tw, img.shape[2])
-    out = np.full(shape, fill, dtype=img.dtype)
-    out[pad_top:pad_top + min(h, th), pad_left:pad_left + min(w, tw)] = img[:min(h, th), :min(w, tw)]
-    return out

@@ -28,13 +28,14 @@ size is bounded by something other than the fact table — a dimension
 n-gram set), a sketch (HLL registers, Bloom bitset, MG candidates <= a
 provable constant), or a query set. Anything FACT-cardinality (orders,
 parts, custkeys, per-doc maps, unpruned vocabularies) moves through a
-keyed exchange instead: Dataset.join, or the coarse hash(key) % P
-co-partition (`_bpart` / `_vocab_combine`) with a vectorized in-partition
-merge. Queries that ship orders-derived lookups via ray.put (q3, q10,
-q18 inner map, q5_nation_revenue_broadcast) are the SMALL-SIDE plan kept
-deliberately next to the big-big plan of the same join (q5, q4/q12/q13/
-q17/q22) — at 100 TB the planner picks by the measured side size against
-the object-store budget; both shapes are implemented and tested here.
+keyed exchange instead: Dataset.join, or `_exchange`, the one coarse
+hash(key) % P co-partition, with a vectorized in-partition merge (both
+sides of a join carry the key in one column). Queries that ship
+orders-derived lookups via ray.put (q3, q10, q18 inner map,
+q5_nation_revenue_broadcast) are the SMALL-SIDE plan kept deliberately
+next to the big-big plan of the same join (q5, q4/q12/q13/q17/q22) — at
+100 TB the planner picks by the measured side size against the
+object-store budget; both shapes are implemented and tested here.
 """
 
 from __future__ import annotations
@@ -114,14 +115,73 @@ def _arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
 
 
 def _n_parts() -> int:
-    """Coarse-exchange partition count, scaled to the cluster: 2 tasks
-    per CPU (straggler headroom), floor 64 so small test clusters still
-    exercise multi-partition merges. Results never depend on this —
-    every user of a hash(key) % P partition merges within disjoint key
-    sets — so the knob is pure parallelism."""
+    """The coarse exchange's partition count, scaled to the cluster: 2
+    tasks per CPU (straggler headroom), floor 64 so small test clusters
+    still exercise multi-partition merges. Results never depend on it:
+    every `_exchange` caller merges within disjoint key sets."""
     import ray
 
     return max(64, int(ray.cluster_resources().get("CPU", 32)) * 2)
+
+
+# folds the columns of a multi-column key into one id (an odd prime, so
+# coprime to every partition count)
+_KEY_MIX = 1_000_003
+
+
+def _partition_ids(batch, key, n_parts: int) -> np.ndarray:
+    """Each row's coarse partition in [0, n_parts): a stable hash of the
+    `key` column(s) of `batch` (a DataFrame or an Arrow table). An integer
+    or datetime column gives value mod n_parts, never negative. A string
+    column gives md5(value) mod n_parts, hashed once per distinct value of
+    the batch (md5 because hash() varies by process and
+    pd.util.hash_array by pandas version, either of which would split a
+    key across partitions). Several columns fold into one id:
+    (id * _KEY_MIX + column id) mod n_parts."""
+    from .functions.dedup import md5_lower64_batch
+
+    pid = np.zeros(len(batch), dtype=np.int64)
+    for col in [key] if isinstance(key, str) else key:
+        v = batch[col].to_numpy()
+        if v.dtype.kind in "iuM":
+            cid = np.mod(v.astype(np.int64), n_parts)
+        else:
+            codes, uniq = pd.factorize(v, use_na_sentinel=False)
+            cid = (md5_lower64_batch(str(u) for u in uniq)
+                   % np.uint64(n_parts)).astype(np.int64)[codes]
+        pid = np.mod(pid * _KEY_MIX + cid, n_parts)
+    return pid
+
+
+_PART = "_part"
+
+
+def _exchange(ds, key, fn, batch_format: str = "pandas"):
+    """The one coarse keyed exchange: rows go to `_partition_ids(key)`
+    partitions and `fn` runs once per PARTITION, a vectorized merge or
+    groupby over all of its keys, never once per key (the per-batch UDF
+    call of *Accelerating Python UDFs in Vectorized Query Execution*,
+    CIDR 2022). Rows with equal keys always meet in one call; `fn` gets
+    them without the partition column. `ds` is one Dataset or the list of
+    a join's sides, each tagged in its own map tasks and then unioned (a
+    map after the union would run as tasks of its own). The partition
+    count is read here, on the driver, so no worker calls Ray."""
+    n_parts = _n_parts()
+
+    def add_part(b):
+        ids = _partition_ids(b, key, n_parts)
+        if isinstance(b, pa.Table):
+            return b.append_column(_PART, pa.array(ids))
+        return b.assign(**{_PART: ids})
+
+    def run(g):
+        return fn(g.drop_columns([_PART]) if isinstance(g, pa.Table)
+                  else g.drop(columns=_PART))
+
+    tagged = [d.map_batches(add_part, batch_format=batch_format)
+              for d in (ds if isinstance(ds, list) else [ds])]
+    joined = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return joined.groupby(_PART).map_groups(run, batch_format=batch_format)
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -504,10 +564,10 @@ LIMIT 20
 
 
 def q18_large_orders(sf_dir: str, min_qty: float = 200.0):
-    """Large-quantity orders: per-orderkey quantity sums via the COARSE-
-    PARTITION pattern (orderkey % 256 shuffle key, vectorized in-partition
-    groupby — a distributed groupby on the raw 150k-key orderkey column
-    measured 113 s at sf0.1; this is the scale-safe shape), HAVING filter
+    """Large-quantity orders: per-orderkey quantity sums via the coarse
+    exchange on orderkey (`_exchange`, a vectorized in-partition groupby
+    — a distributed groupby on the raw 150k-key orderkey column measured
+    113 s at sf0.1; this is the scale-safe shape), HAVING filter
     in-partition, then broadcast orders for custkey/date attach."""
     import ray
 
@@ -515,9 +575,7 @@ def q18_large_orders(sf_dir: str, min_qty: float = 200.0):
     ord_ref = ray.put(orders.set_index("o_orderkey")[["o_custkey", "o_orderdate"]])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("l_orderkey", as_index=False, sort=False)["l_quantity"].sum()
-        g["part"] = (g["l_orderkey"] % 256).astype(np.int32)
-        return g
+        return df.groupby("l_orderkey", as_index=False, sort=False)["l_quantity"].sum()
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("l_orderkey", as_index=False, sort=False)["l_quantity"].sum()
@@ -532,9 +590,7 @@ def q18_large_orders(sf_dir: str, min_qty: float = 200.0):
         })
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    out = ds.map_batches(partial, batch_format="pandas").groupby("part").map_groups(
-        per_part, batch_format="pandas")
-    return out
+    return _exchange(ds.map_batches(partial, batch_format="pandas"), "l_orderkey", per_part)
 
 
 Q18_SQL = """
@@ -624,35 +680,28 @@ def events_window_distinct_users(sf_dir: str):
 
     Scale shape: per-batch DISTINCT (event_type, window, user) combiner
     (each batch emits each triple once) -> ONE coarse exchange keyed on
-    hash(window, user) % P, so every occurrence of a triple meets in one
+    (window, user), so every occurrence of a triple meets in one
     partition and dedups VECTORIZED (drop_duplicates — never one native
     group per distinct triple, which is near-fact-cardinality) ->
     per-partition partial counts per (event_type, window) — partitions
     hold disjoint (window, user) sets, so partial counts sum exactly ->
     tiny driver reduce over |event_types| x |windows| rows."""
     ds = _read(sf_dir, "events", ["ts", "event_type", "user_id"])
-    np_parts = _n_parts()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame({
+        return pd.DataFrame({
             "event_type": df["event_type"].to_numpy(),
             "window_start": df["ts"].dt.floor("h"),
             "user_id": df["user_id"].to_numpy(),
         }).drop_duplicates()
-        # wid only needs to be deterministic per window — window_start is
-        # already hour-floored, so the raw ns int64 is a stable window id
-        wid = d["window_start"].astype("int64").to_numpy()
-        d["vp"] = ((d["user_id"].to_numpy().astype(np.int64) * np.int64(1_000_003)
-                    + wid) % np_parts).astype(np.int32)
-        return d
 
     def dedup_count(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(subset=["event_type", "window_start", "user_id"])
         out = d.groupby(["event_type", "window_start"], as_index=False).size()
         return out.rename(columns={"size": "n_users"})
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("vp").map_groups(dedup_count, batch_format="pandas"))
+    parts = _exchange(ds.map_batches(partial, batch_format="pandas"),
+                      ["window_start", "user_id"], dedup_count)
     out = _reduce_small(parts, ["event_type", "window_start"], ["n_users"])
     out["n_users"] = out["n_users"].astype("int64")
     return out
@@ -673,19 +722,13 @@ def events_sessionize(sf_dir: str):
     map_groups alternative is one Python invocation per user_id)."""
     from .functions.windows import sessionize_partition
 
-    np_parts = _n_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % np_parts).astype(np.int32)
+    def cents(df: pd.DataFrame) -> pd.DataFrame:
         # value in exact int cents so session sums are order-independent
-        df["value"] = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        return df
+        return df.assign(value=np.rint(df["value"].to_numpy() * 100).astype(np.int64))
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    out = ds.map_batches(add_part, batch_format="pandas").groupby("part").map_groups(
-        lambda g: sessionize_partition(g, 30), batch_format="pandas"
-    )
+    out = _exchange(ds.map_batches(cents, batch_format="pandas"), "user_id",
+                    lambda g: sessionize_partition(g, 30))
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         from .numeric import round_half_away as _rha
@@ -715,14 +758,14 @@ FROM numbered GROUP BY user_id, session_idx
 """
 
 
-def events_asof_join(sf_dir: str, n_parts: int = 64):
+def events_asof_join(sf_dir: str):
     """AS-OF JOIN — a custom operator Ray Data has no primitive for: each
     purchase event matched to the SAME USER's most recent click at or
     before it (classic last-touch attribution).
 
     Partitioning assumption (documented, required): the as-of condition
-    carries a user_id equality, so both sides shuffle once on the COARSE
-    key user_id % P and the time-nearest match is resolved vectorized
+    carries a user_id equality, so both sides shuffle once on the coarse
+    exchange of user_id and the time-nearest match is resolved vectorized
     inside each partition with pandas merge_asof(by=user_id,
     direction=backward) over ts-sorted frames — one Python call per
     partition. Without an equality key an as-of join needs a range
@@ -733,10 +776,8 @@ def events_asof_join(sf_dir: str, n_parts: int = 64):
     nondeterministic hash, and the gap is exact integer microseconds.
     """
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(["purchase", "click"])].copy()
-        df["part"] = (df["user_id"].to_numpy() % n_parts).astype(np.int32)
-        return df
+    def purchases_and_clicks(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"].isin(["purchase", "click"])]
 
     def asof_partition(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -767,10 +808,8 @@ def events_asof_join(sf_dir: str, n_parts: int = 64):
         return out
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part").map_groups(asof_partition, batch_format="pandas")
-    )
+    return _exchange(ds.map_batches(purchases_and_clicks, batch_format="pandas"),
+                     "user_id", asof_partition)
 
 
 EVENTS_ASOF_SQL = """
@@ -1120,30 +1159,24 @@ FROM documents
 
 
 def dedup_exact(sf_dir: str):
-    """Exact dedup: content-hash in map_batches -> groupby on a COARSE
-    partition of the hash (256 partitions, not one Python group per
-    distinct document) -> vectorized in-partition groupby on the exact
-    normalized text (collision-proof), keep min(doc_id)."""
-    from .functions.dedup import content_hash
-
-    def hash_and_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = content_hash(df)
-        df["part"] = (df["content_hash"] % 256).astype(np.int32)
-        return df
+    """Exact dedup: content-hash in map_batches -> the coarse exchange on
+    the hash (one Python call per partition, not per distinct document)
+    -> vectorized in-partition groupby on the exact normalized text
+    (collision-proof), keep min(doc_id)."""
+    from .functions.dedup import _norm_text, content_hash
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    hashed = ds.map_batches(hash_and_part, batch_format="pandas")
+    hashed = ds.map_batches(content_hash, batch_format="pandas")
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        norm = g["text"].fillna("").str.lower().str.replace(r"\s+", " ", regex=True).str.strip()
         out = (
-            g.assign(_norm=norm)
+            g.assign(_norm=_norm_text(g["text"]))
             .groupby("_norm", as_index=False, sort=False)
             .agg(doc_id=("doc_id", "min"), n_dups=("doc_id", "count"))
         )
         return out[["doc_id", "n_dups"]]
 
-    out = hashed.groupby("part").map_groups(per_part, batch_format="pandas")
+    out = _exchange(hashed, "content_hash", per_part)
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         df["n_dups"] = df["n_dups"].astype("int64")
@@ -1162,8 +1195,6 @@ GROUP BY lower(regexp_replace(trim(text), '\s+', ' ', 'g'))
 def span_roundtrip(sf_dir: str):
     """Explode -> filter -> shuffle-regroup -> ordered rejoin: the
     sequence-reconstruction machinery with a SQL-checkable oracle."""
-    import zlib
-
     import pyarrow.compute as pc
 
     def explode(t: pa.Table) -> pa.Table:
@@ -1173,12 +1204,9 @@ def span_roundtrip(sf_dir: str):
         doc = np.repeat(df["doc_id"].to_numpy(), n)
         pos = np.concatenate([np.arange(k) for k in n]) if len(n) else np.array([], dtype=np.int64)
         w = np.concatenate([np.asarray(x, dtype=object) for x in words]) if len(n) else np.array([], dtype=object)
-        part = np.fromiter(
-            (zlib.crc32(str(d).encode()) % 32 for d in doc), dtype=np.int32, count=len(doc)
-        )
         return pa.table(
             {"doc_id": pa.array(doc), "pos": pa.array(pos, pa.int64()),
-             "word": pa.array(w, pa.string()), "part": pa.array(part)}
+             "word": pa.array(w, pa.string())}
         )
 
     def keep_long(t: pa.Table) -> pa.Table:
@@ -1194,7 +1222,7 @@ def span_roundtrip(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     ds = ds.map_batches(explode, batch_format="pyarrow")
     ds = ds.map_batches(keep_long, batch_format="pyarrow")
-    return ds.groupby("part").map_groups(regroup, batch_format="pyarrow")
+    return _exchange(ds, "doc_id", regroup, batch_format="pyarrow")
 
 
 SPAN_ROUNDTRIP_SQL = """
@@ -1438,17 +1466,10 @@ def minhash_dup_pairs(sf_dir: str, threshold: float = 0.8,
     """
     import ray
 
-    from .functions.dedup import MinHasher, jaccard, shingle_set
+    from .functions.dedup import MinHasher, _norm_text, jaccard, shingle_set
 
-    n_parts = _n_parts()
     empty_cand = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
                                "doc_b": pd.Series(dtype="int64")})
-
-    def add_bpart(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bpart"] = ((df["band_hash"].to_numpy() * np.int64(31)
-                        + df["band"].to_numpy()) % n_parts).astype(np.int32)
-        return df
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized in-partition self-merge on the bucket key; a pair that
@@ -1464,9 +1485,7 @@ def minhash_dup_pairs(sf_dir: str, threshold: float = 0.8,
     empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
                           "doc_b": pd.Series(dtype="int64"),
                           "jaccard": pd.Series(dtype="float64")})
-    cand_ds = (minhash_bands(sf_dir)
-               .map_batches(add_bpart, batch_format="pandas")
-               .groupby("bpart").map_groups(bucket_pairs, batch_format="pandas")
+    cand_ds = (_exchange(minhash_bands(sf_dir), ["band", "band_hash"], bucket_pairs)
                .materialize())  # count + collect without re-running the shuffle
     n_cand = cand_ds.count()
     if n_cand > max_candidates:
@@ -1490,10 +1509,9 @@ def minhash_dup_pairs(sf_dir: str, threshold: float = 0.8,
     def shingle_candidates(df: pd.DataFrame) -> pd.DataFrame:
         ids = ray.get(need_ref)
         sub = df[df["doc_id"].isin(ids)]
-        norm = sub["text"].fillna("").str.lower().str.replace(r"\s+", " ", regex=True).str.strip()
         return pd.DataFrame({
             "doc_id": sub["doc_id"].to_numpy(),
-            "shingles": [shingle_set(t, ngram) for t in norm],
+            "shingles": [shingle_set(t, ngram) for t in _norm_text(sub["text"])],
         })
 
     sh_df = (
@@ -1551,50 +1569,33 @@ WHERE round(CASE WHEN len(a.grams) = 0 AND len(b.grams) = 0 THEN 1.0
 """
 
 
-def ngram_jaccard_dup_pairs(sf_dir: str, threshold: float = 0.8,
-                            n_shingle_parts: int | None = None,
-                            max_shingle_freq: int | None = None):
+def ngram_jaccard_dup_pairs(sf_dir: str, threshold: float = 0.8):
     """EXACT n-gram Jaccard near-dup pairs via a distributed shingle
     inverted index — no MinHash approximation anywhere (contrast
     minhash_dup_pairs, which uses LSH banding for candidates).
 
     Shape (all-exchange keys are narrow ints, payloads never shuffle):
       map_batches: doc -> unique word-3-gram crc32 shingles, exploded to
-        (spart, shingle, doc_id, n) rows where n = |doc's shingle set| and
-        spart = shingle % P (the coarse partition key — one Python call per
-        PARTITION, not per distinct shingle);
-      groupby(spart).map_groups: vectorized in-partition self-merge on
-        shingle -> per-pair partial intersection counts (doc_a < doc_b),
-        pruned by the exact size-ratio bound jaccard <= min(na,nb) /
-        max(na,nb) < threshold (kills almost every coincidental pair
-        BEFORE the pair exchange, losslessly);
-      groupby(ppart).map_groups: pair-keyed reduce on a coarse partition
-        (hash(doc_a,doc_b) % P) with a vectorized in-partition groupby —
+        (shingle, doc_id, n) rows where n = |doc's shingle set|;
+      `_exchange` on shingle (one Python call per PARTITION, not per
+        distinct shingle): vectorized in-partition self-merge on shingle
+        -> per-pair partial intersection counts (doc_a < doc_b), pruned by
+        the exact size-ratio bound jaccard <= min(na,nb) / max(na,nb) <
+        threshold (kills almost every coincidental pair BEFORE the pair
+        exchange, losslessly);
+      `_exchange` on (doc_a, doc_b): a vectorized in-partition groupby —
         NOT a native groupby on the ~|pairs|-cardinality key (that is the
         measured 100s-class trap on this box) — summing partial
         intersections and finishing jaccard = inter / (na + nb - inter).
 
     Shingle-less (empty-text) docs carry a reserved sentinel shingle so
     empty pairs score jaccard 1.0, matching the oracle's convention.
-
-    At 100 TB: set max_shingle_freq to drop stop-shingles shared by more
-    than F docs (bounds the per-shingle pair fan-out at a documented
-    recall cost); pairs whose every shared shingle is that common are the
-    only ones affected. Default None = exact.
     """
-    from .functions.dedup import shingle_set
-
-    if n_shingle_parts is None:
-        # partition count tracks the cluster, not the data: ~2 per CPU
-        # balances skew against per-partition fixed cost (measured at
-        # sf0.1/32cpu: 64 parts 3.7 s vs 256 parts 4.4 s); results are
-        # partition-count-invariant.
-        n_shingle_parts = _n_parts()
+    from .functions.dedup import _norm_text, shingle_set
 
     def explode_shingles(df: pd.DataFrame) -> pd.DataFrame:
-        norm = df["text"].fillna("").str.lower().str.replace(r"\s+", " ", regex=True).str.strip()
         ids, shingles = [], []
-        for doc_id, t in zip(df["doc_id"], norm):
+        for doc_id, t in zip(df["doc_id"], _norm_text(df["text"])):
             s = shingle_set(t, 3)
             if len(s) == 0:
                 s = np.array([-1], dtype=np.int64)  # sentinel: empty doc
@@ -1604,21 +1605,17 @@ def ngram_jaccard_dup_pairs(sf_dir: str, threshold: float = 0.8,
         ids = np.concatenate(ids) if ids else np.zeros(0, np.int64)
         sh = np.concatenate(shingles) if shingles else np.zeros(0, np.int64)
         return pd.DataFrame({
-            "spart": (sh % n_shingle_parts).astype(np.int32),
             "shingle": sh,
             "doc_id": ids,
             "n": np.repeat(counts, counts),
         })
 
     empty_partial = pd.DataFrame({
-        "ppart": pd.Series(dtype="int32"),
         "doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
         "inter": pd.Series(dtype="int64"),
         "na": pd.Series(dtype="int64"), "nb": pd.Series(dtype="int64")})
 
     def partial_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if max_shingle_freq is not None:
-            g = g[g.groupby("shingle")["shingle"].transform("size") <= max_shingle_freq]
         m = g.merge(g, on="shingle", suffixes=("_a", "_b"))
         na = m["n_a"].to_numpy()
         nb = m["n_b"].to_numpy()
@@ -1631,13 +1628,10 @@ def ngram_jaccard_dup_pairs(sf_dir: str, threshold: float = 0.8,
         m = m[keep]
         if len(m) == 0:
             return empty_partial
-        agg = (m.groupby(["doc_id_a", "doc_id_b"], sort=False)
-                .agg(inter=("shingle", "size"), na=("n_a", "first"), nb=("n_b", "first"))
-                .reset_index()
-                .rename(columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"}))
-        agg.insert(0, "ppart", ((agg["doc_a"] * 1000003 + agg["doc_b"])
-                                % n_shingle_parts).astype("int32"))
-        return agg
+        return (m.groupby(["doc_id_a", "doc_id_b"], sort=False)
+                 .agg(inter=("shingle", "size"), na=("n_a", "first"), nb=("n_b", "first"))
+                 .reset_index()
+                 .rename(columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"}))
 
     def reduce_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
@@ -1655,12 +1649,9 @@ def ngram_jaccard_dup_pairs(sf_dir: str, threshold: float = 0.8,
         return out[out["jaccard"] >= threshold]
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = (
-        ds.map_batches(explode_shingles, batch_format="pandas")
-        .groupby("spart").map_groups(partial_pairs, batch_format="pandas")
-        .groupby("ppart").map_groups(reduce_pairs, batch_format="pandas")
-        .to_pandas()  # dup-bounded
-    )
+    partials = _exchange(ds.map_batches(explode_shingles, batch_format="pandas"),
+                         "shingle", partial_pairs)
+    out = _exchange(partials, ["doc_a", "doc_b"], reduce_pairs).to_pandas()  # dup-bounded
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -1683,8 +1674,6 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3):
     along as int64."""
     from .functions.dedup import simhash_batch
 
-    n_parts = _n_parts()
-
     def explode_quads(df: pd.DataFrame) -> pd.DataFrame:
         sh = simhash_batch(df)
         frames = []
@@ -1693,7 +1682,6 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3):
             frames.append(pd.DataFrame({
                 "doc_id": sh["doc_id"], "simhash": sh["simhash"],
                 "quad": np.int32(q), "qval": qval,
-                "bpart": ((qval.astype(np.int64) * 4 + q) % n_parts).astype(np.int32),
             }))
         return pd.concat(frames, ignore_index=True)
 
@@ -1718,12 +1706,8 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3):
         return out.drop_duplicates(["doc_a", "doc_b"]) if len(out) else empty
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = (
-        ds.map_batches(explode_quads, batch_format="pandas")
-        .groupby("bpart")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    out = _exchange(ds.map_batches(explode_quads, batch_format="pandas"),
+                    ["quad", "qval"], pairs).to_pandas()
     if out.empty:
         return pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
                              "doc_b": pd.Series(dtype="int64"),
@@ -2610,6 +2594,27 @@ def _tokens(s: pd.Series) -> pd.Series:
     return s.fillna("").str.lower().str.strip().str.split()
 
 
+def _word_ngrams(text: pd.Series, n: int) -> pd.DataFrame:
+    """(row, pos, gram) for every word n-gram of each text's `_tokens`:
+    `row` is the text's position in `text`, `pos` the 1-based index of the
+    gram's first token (= the SQL oracles' renumbered row_number). One
+    shifted concat over the batch's flat token array, no per-row Python; a
+    window is kept only when its last token is still in the same text."""
+    toks = _tokens(text)
+    lens = toks.str.len().fillna(0).to_numpy(dtype=np.int64)
+    total = int(lens.sum())
+    words = toks.explode().dropna().to_numpy(dtype=object)
+    row = np.repeat(np.arange(len(lens)), lens)
+    pos = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens) + 1
+    m = max(total - n + 1, 0)
+    grams = words[:m]
+    for i in range(1, n):
+        grams = grams + " " + words[i:m + i]
+    valid = row[:m] == row[n - 1:n - 1 + m]
+    return pd.DataFrame({"row": row[:m][valid], "pos": pos[:m][valid],
+                         "gram": grams[valid]})
+
+
 # The PII/entity scrub battery. In production this is the email/phone/SSN
 # regex set; the synthetic corpus contains no PII, so the driver instance
 # scrubs entity tokens that DO occur (falsifiable — nonzero replacements),
@@ -2859,56 +2864,23 @@ WHERE d.doc_id % 97 <> 0
 """
 
 
-def dup_ngram_spans(sf_dir: str, n: int = 3, n_parts: int = 512):
+def dup_ngram_spans(sf_dir: str, n: int = 3):
     """Span-level substring dedup (the Lee et al. 2022 'deduplicating
     training data' signal at n-gram granularity): every (doc, position)
     whose n-gram also occurs in at least one OTHER document. Unlike the
     doc-level dedup family this emits the duplicated SPANS, the input to
     span-excision dedup.
 
-    Scale shape: explode (gram, doc_id, pos) in map_batches, then ONE
-    keyed shuffle — on hash(gram) % n_parts, the coarse-partition trick
-    (stages/reassemble.py pattern) — and a VECTORIZED in-partition
-    nunique filter; never one Python call per distinct gram, no driver
+    Scale shape: explode (gram, doc_id, pos) in map_batches (`_word_ngrams`),
+    then ONE coarse exchange on gram (`_exchange`) and a VECTORIZED
+    in-partition nunique filter; never one Python call per distinct gram, no driver
     state at all. Positions are 1-based token indices (= the SQL
     renumbered row_number). The registered oracle is the n=3
     instantiation — calling with another n diverges from it."""
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                          "pos": pd.Series(dtype="int64"),
-                          "gram": pd.Series(dtype="object"),
-                          "part": pd.Series(dtype="int64")})
-
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        toks = _tokens(df["text"])
-        lens = toks.str.len().fillna(0).to_numpy(dtype=np.int64)
-        total = int(lens.sum())
-        if total < n:
-            return empty.copy()
-        words = toks.explode().dropna().to_numpy(dtype=object)
-        doc_rep = np.repeat(df["doc_id"].to_numpy(), lens)
-        starts = np.repeat(np.cumsum(lens) - lens, lens)
-        pos_in_doc = np.arange(total, dtype=np.int64) - starts + 1
-        # vectorized n-gram join via shifted object-array concat; a window
-        # is valid only when its last word is still in the SAME doc
-        m = total - n + 1
-        grams = words[:m]
-        for i in range(1, n):
-            grams = grams + " " + words[i:m + i]
-        valid = doc_rep[:m] == doc_rep[n - 1:]
-        out = pd.DataFrame({"doc_id": doc_rep[:m][valid],
-                            "pos": pos_in_doc[:m][valid],
-                            "gram": grams[valid]})
-        # internal partition key (the oracle never sees it) — md5, the
-        # _vocab_combine rule: pd.util.hash_array is only stable within one
-        # pandas version, and a gram split across partitions would break
-        # the in-partition nunique>=2 filter. Factorized: one hash per
-        # DISTINCT gram.
-        from .functions.dedup import md5_lower64_batch
-
-        codes, uniq = pd.factorize(out["gram"])
-        hv = (md5_lower64_batch(uniq) % np.uint64(n_parts)).astype(np.int64)
-        out["part"] = hv[codes]
-        return out
+        g = _word_ngrams(df["text"], n)
+        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy()[g["row"].to_numpy()],
+                             "pos": g["pos"].to_numpy(), "gram": g["gram"].to_numpy()})
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         dup = g.groupby("gram")["doc_id"].transform("nunique") >= 2
@@ -2918,8 +2890,7 @@ def dup_ngram_spans(sf_dir: str, n: int = 3, n_parts: int = 512):
                              "gram": sel["gram"].to_numpy()})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return (ds.map_batches(explode, batch_format="pandas")
-            .groupby("part").map_groups(per_part, batch_format="pandas"))
+    return _exchange(ds.map_batches(explode, batch_format="pandas"), "gram", per_part)
 
 
 # fixed at n=3 (two lead() steps), mirroring dup_ngram_spans' default
@@ -4296,33 +4267,14 @@ def ann_recall_ivf(sf_dir: str, k: int = 10):
     return _recall_vs_brute(sf_dir, ann_ivf_topk(sf_dir, k=k), k)
 
 
-def _vocab_combine(partials, key: str, val: str = "n", n_parts: int = 64):
+def _vocab_combine(partials, key: str, val: str = "n"):
     """Exact (key, sum(val)) over per-batch partial counts via ONE coarse
-    hash(key) % n_parts exchange + a vectorized in-partition pandas
-    groupby — the combine shape for corpus-sized vocabularies: never one
-    native group per distinct key, partition-bounded at any scale, and
-    measured ~3x cheaper than Dataset.groupby(key).aggregate(Sum) at toy
-    scale (the full-width sort aggregate carries ~8 s fixed overhead)."""
-    def add_vp(df: pd.DataFrame) -> pd.DataFrame:
-        # md5 (version-independent): pd.util.hash_array over object keys is
-        # only stable within one pandas version, so a mixed-version cluster
-        # would split a key across partitions and emit duplicate partials.
-        # Factorize first — partial batches repeat keys, so the per-row
-        # Python md5 runs only over the batch's DISTINCT keys and the
-        # codes map the partition ids back vectorized.
-        from .functions.dedup import md5_lower64_batch
-
-        df = df.copy()
-        codes, uniq = pd.factorize(df[key].astype(str))
-        hv = (md5_lower64_batch(uniq) % np.uint64(n_parts)).astype(np.int64)
-        df["vp"] = hv[codes]
-        return df
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(key, as_index=False)[val].sum()
-
-    return (partials.map_batches(add_vp, batch_format="pandas")
-            .groupby("vp").map_groups(combine, batch_format="pandas"))
+    exchange on key + a vectorized in-partition pandas groupby — the
+    combine shape for corpus-sized vocabularies: never one native group
+    per distinct key, partition-bounded at any scale, and measured ~3x
+    cheaper than Dataset.groupby(key).aggregate(Sum) at toy scale (the
+    full-width sort aggregate carries ~8 s fixed overhead)."""
+    return _exchange(partials, key, lambda g: g.groupby(key, as_index=False)[val].sum())
 
 
 def bigram_logprob_scores(sf_dir: str, min_count: int = LM_MIN_COUNT):
@@ -4335,26 +4287,17 @@ def bigram_logprob_scores(sf_dir: str, min_count: int = LM_MIN_COUNT):
     corpus-sized and never lands on the driver), pruned bigrams score the
     exact count-1 floor round(ln(1/total)*1e6).
 
-    Bigrams form via the shifted-concat explode (dup_ngram_spans pattern,
-    n=2): vectorized, doc-boundary-valid, no per-row Python."""
+    Bigrams form via `_word_ngrams(n=2)`: vectorized, doc-boundary-valid,
+    no per-row Python."""
     import ray
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def explode_bigrams(df: pd.DataFrame) -> pd.DataFrame:
-        toks = _tokens(df["text"])
-        lens = toks.str.len().fillna(0).to_numpy(dtype=np.int64)
-        total = int(lens.sum())
-        if total < 2:
-            return pd.DataFrame({"doc_id": np.array([], dtype=np.int64),
-                                 "gram": np.array([], dtype="U1")})
-        words = toks.explode().dropna().to_numpy(dtype=object)
-        doc_rep = np.repeat(df["doc_id"].to_numpy(), lens)
-        m = total - 1
-        grams = words[:m] + " " + words[1:]
-        valid = doc_rep[:m] == doc_rep[1:]
-        return pd.DataFrame({"doc_id": doc_rep[:m][valid], "gram": grams[valid]})
+        g = _word_ngrams(df["text"], 2)
+        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy()[g["row"].to_numpy()],
+                             "gram": g["gram"].to_numpy()})
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         vc = explode_bigrams(df)["gram"].value_counts()
@@ -4425,14 +4368,6 @@ FROM documents d LEFT JOIN per_doc p USING (doc_id)
 """
 
 
-def _bpart(vals: np.ndarray, n_parts: int = 64) -> np.ndarray:
-    """Coarse co-partition key for big-big joins: both sides of a join add
-    the same hash(key) % n_parts column and meet in one groupby partition,
-    where the join runs as a vectorized pandas merge — never one Python
-    call per join key, and no corpus-sized broadcast."""
-    return (np.abs(vals.astype(np.int64)) % n_parts).astype(np.int32)
-
-
 def q4_order_priority(sf_dir: str):
     """TPC-H Q4 (adapted to this schema: the EXISTS predicate is
     l_shipdate > o_orderdate, the late-shipment semi-join): priority
@@ -4450,14 +4385,12 @@ def q4_order_priority(sf_dir: str):
             "key": d["o_orderkey"].to_numpy(), "side": np.int8(0),
             "prio": d["o_orderpriority"].astype(str),
             "date": d["o_orderdate"].to_numpy(),
-            "bp": _bpart(d["o_orderkey"].to_numpy()),
         })
 
     def l_part(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "key": df["l_orderkey"].to_numpy(), "side": np.int8(1),
             "prio": "", "date": df["l_shipdate"].to_numpy(),
-            "bp": _bpart(df["l_orderkey"].to_numpy()),
         })
 
     def semi_count(g: pd.DataFrame) -> pd.DataFrame:
@@ -4476,8 +4409,7 @@ def q4_order_priority(sf_dir: str):
         .map_batches(o_part, batch_format="pandas")
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])\
         .map_batches(l_part, batch_format="pandas")
-    partials = (orders.union(lines).groupby("bp")
-                .map_groups(semi_count, batch_format="pandas").to_pandas())
+    partials = _exchange([orders, lines], "key", semi_count).to_pandas()
     out = partials.groupby("prio", as_index=False)["n"].sum()
     out["n"] = out["n"].astype("int64")
     return out.rename(columns={"prio": "o_orderpriority", "n": "order_count"}).sort_values(
@@ -4507,7 +4439,6 @@ def q12_priority_by_returnflag(sf_dir: str):
         return pd.DataFrame({
             "key": df["o_orderkey"].to_numpy(), "side": np.int8(0),
             "high": high, "flag": "",
-            "bp": _bpart(df["o_orderkey"].to_numpy()),
         })
 
     def l_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -4515,7 +4446,6 @@ def q12_priority_by_returnflag(sf_dir: str):
         return pd.DataFrame({
             "key": d["l_orderkey"].to_numpy(), "side": np.int8(1),
             "high": False, "flag": d["l_returnflag"].astype(str),
-            "bp": _bpart(d["l_orderkey"].to_numpy()),
         })
 
     def join_count(g: pd.DataFrame) -> pd.DataFrame:
@@ -4535,8 +4465,7 @@ def q12_priority_by_returnflag(sf_dir: str):
         .map_batches(o_part, batch_format="pandas")
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_returnflag"])\
         .map_batches(l_part, batch_format="pandas")
-    partials = (orders.union(lines).groupby("bp")
-                .map_groups(join_count, batch_format="pandas").to_pandas())
+    partials = _exchange([orders, lines], "key", join_count).to_pandas()
     out = partials.groupby("flag", as_index=False)[["high_count", "low_count"]].sum()
     return pd.DataFrame({
         "l_returnflag": out["flag"],
@@ -4568,12 +4497,12 @@ def q13_customer_distribution(sf_dir: str):
         vc = df["o_custkey"].value_counts()
         k = vc.index.to_numpy(dtype=np.int64)
         return pd.DataFrame({"key": k, "side": np.int8(1),
-                             "n": vc.to_numpy(dtype=np.int64), "bp": _bpart(k)})
+                             "n": vc.to_numpy(dtype=np.int64)})
 
     def c_part(df: pd.DataFrame) -> pd.DataFrame:
         k = df["c_custkey"].to_numpy(dtype=np.int64)
         return pd.DataFrame({"key": k, "side": np.int8(0),
-                             "n": np.int64(0), "bp": _bpart(k)})
+                             "n": np.int64(0)})
 
     def hist_partial(g: pd.DataFrame) -> pd.DataFrame:
         cust = g.loc[g["side"] == 0, ["key"]]
@@ -4588,8 +4517,7 @@ def q13_customer_distribution(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(o_part, batch_format="pandas")
     cust = _read(sf_dir, "customer", ["c_custkey"]).map_batches(c_part, batch_format="pandas")
-    partials = (cust.union(orders).groupby("bp")
-                .map_groups(hist_partial, batch_format="pandas").to_pandas())
+    partials = _exchange([cust, orders], "key", hist_partial).to_pandas()
     out = partials.groupby("c_count", as_index=False)["custdist"].sum()
     out["custdist"] = out["custdist"].astype("int64")
     out["c_count"] = out["c_count"].astype("int64")
@@ -4621,7 +4549,7 @@ def q17_small_quantity_revenue(sf_dir: str):
         q = np.floor(df["l_quantity"].to_numpy() + 0.5).astype(np.int64)  # half-away (= SQL round) on positive qty; np.rint is half-even
         cents = np.rint(df["l_extendedprice"].to_numpy() * 100).astype(np.int64)
         return pd.DataFrame({"key": k, "side": np.int8(1), "qty": q,
-                             "cents": cents, "bp": _bpart(k)})
+                             "cents": cents})
 
     def filtered_sum(g: pd.DataFrame) -> pd.DataFrame:
         l = g[g["side"] == 1]
@@ -4635,12 +4563,9 @@ def q17_small_quantity_revenue(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    total = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
-        .map_batches(l_part, batch_format="pandas")
-        .groupby("bp").map_groups(filtered_sum, batch_format="pandas")
-        .aggregate(Sum("cents", alias_name="cents"))
-    )
+    lines = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
+    total = (_exchange(lines.map_batches(l_part, batch_format="pandas"), "key", filtered_sum)
+             .aggregate(Sum("cents", alias_name="cents")))
     return pd.DataFrame({"avg_yearly": [
         round_half_away(float(_agg_value(total, "cents")) / 100.0 / 7.0, 2)]})
 
@@ -4684,7 +4609,7 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
     s_cents, cnt = int(_agg_value(agg, "s")), int(_agg_value(agg, "c"))
 
     sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("seg", pa.string()),
-                       ("cents", pa.int64()), ("bp", pa.int32())])
+                       ("cents", pa.int64())])
     per_seg = pa.schema([("seg", pa.string()), ("numcust", pa.int64()),
                          ("cents", pa.int64())])
 
@@ -4694,14 +4619,13 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
         k = d["c_custkey"].to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
                                     "seg": d["c_mktsegment"].astype(str),
-                                    "cents": cents[cents * cnt > s_cents],
-                                    "bp": _bpart(k)}), sides)
+                                    "cents": cents[cents * cnt > s_cents]}), sides)
 
     def o_part(df: pd.DataFrame) -> pa.Table:
         d = df[df["o_totalprice"] > min_total]
         k = d["o_custkey"].drop_duplicates().to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({"key": k, "side": np.int8(1), "seg": "",
-                                    "cents": np.int64(0), "bp": _bpart(k)}), sides)
+                                    "cents": np.int64(0)}), sides)
 
     def anti(g: pd.DataFrame) -> pa.Table:
         c = g[g["side"] == 0]
@@ -4716,10 +4640,8 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         o_part, batch_format="pandas")
-    partials = (
-        cust.map_batches(c_part, batch_format="pandas").union(orders)
-        .groupby("bp").map_groups(anti, batch_format="pandas").to_pandas()
-    )
+    partials = _exchange([cust.map_batches(c_part, batch_format="pandas"), orders],
+                         "key", anti).to_pandas()
     out = partials.groupby("seg", as_index=False)[["numcust", "cents"]].sum()
     out["numcust"] = out["numcust"].astype("int64")
     out["totacctbal"] = round_half_away(out["cents"].to_numpy(dtype=np.float64) / 100.0, 2)
@@ -4765,7 +4687,7 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_3",
     cust_nation = dict(zip(cust["c_custkey"], cust["c_nationkey"].map(nname)))
     pair = {nation_a, nation_b}
     sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("nat", pa.string()),
-                       ("year", pa.int64()), ("c4", pa.int64()), ("bp", pa.int32())])
+                       ("year", pa.int64()), ("c4", pa.int64())])
     volumes = pa.schema([("supp_nation", pa.string()), ("cust_nation", pa.string()),
                          ("l_year", pa.int64()), ("c4", pa.int64())])
 
@@ -4779,8 +4701,7 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_3",
         return _arrow(pd.DataFrame({
             "key": k, "side": np.int8(1), "nat": np.asarray(sn, dtype=str),
             "year": d["l_shipdate"].dt.year.to_numpy(dtype=np.int64),
-            "c4": rev_c4(d["l_extendedprice"], d["l_discount"]),
-            "bp": _bpart(k)}), sides)
+            "c4": rev_c4(d["l_extendedprice"], d["l_discount"])}), sides)
 
     def o_part(df: pd.DataFrame) -> pa.Table:
         cn = df["o_custkey"].map(cust_nation)
@@ -4789,7 +4710,7 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_3",
         k = d["o_orderkey"].to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({
             "key": k, "side": np.int8(0), "nat": np.asarray(cn, dtype=str),
-            "year": np.int64(0), "c4": np.int64(0), "bp": _bpart(k)}), sides)
+            "year": np.int64(0), "c4": np.int64(0)}), sides)
 
     def vol(g: pd.DataFrame) -> pa.Table:
         o, l = g[g["side"] == 0], g[g["side"] == 1]
@@ -4808,8 +4729,7 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_3",
         l_part, batch_format="pandas")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
         o_part, batch_format="pandas")
-    partials = orders.union(lines).groupby("bp").map_groups(
-        vol, batch_format="pandas")
+    partials = _exchange([orders, lines], "key", vol)
     df = _reduce_small(partials, ["supp_nation", "cust_nation", "l_year"], ["c4"])
     if len(df) == 0:
         return pd.DataFrame({"supp_nation": pd.Series(dtype=str),
@@ -4872,7 +4792,7 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
         return pd.DataFrame({"key": k, "side": np.int8(0),
                              "okey": np.int64(0),
                              "nat": np.full(len(k), "", dtype="U1"),
-                             "c4": np.int64(0), "bp": _bpart(k)})
+                             "c4": np.int64(0)})
 
     def l_part(df: pd.DataFrame) -> pd.DataFrame:
         k = df["l_partkey"].to_numpy(dtype=np.int64)
@@ -4881,8 +4801,7 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
             "key": k, "side": np.int8(1),
             "okey": df["l_orderkey"].to_numpy(dtype=np.int64),
             "nat": np.asarray(sn, dtype=str),
-            "c4": rev_c4(df["l_extendedprice"], df["l_discount"]),
-            "bp": _bpart(k)})
+            "c4": rev_c4(df["l_extendedprice"], df["l_discount"])})
 
     def semi(g: pd.DataFrame) -> pd.DataFrame:
         lmask = g["side"].to_numpy() == 1
@@ -4893,8 +4812,7 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
         return pd.DataFrame({"key": k, "side": np.int8(1),
                              "nat": np.asarray(d["nat"], dtype=str),
                              "year": np.int64(0),
-                             "c4": d["c4"].to_numpy(dtype=np.int64),
-                             "bp": _bpart(k)})
+                             "c4": d["c4"].to_numpy(dtype=np.int64)})
 
     # ---- exchange 2: surviving lines join orders (region + date) on orderkey
     def o_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -4907,7 +4825,7 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
         return pd.DataFrame({"key": k, "side": np.int8(0),
                              "nat": np.full(len(k), "", dtype="U1"),
                              "year": d["o_orderdate"].dt.year.to_numpy(dtype=np.int64),
-                             "c4": np.int64(0), "bp": _bpart(k)})
+                             "c4": np.int64(0)})
 
     def join_year(g: pd.DataFrame) -> pd.DataFrame:
         o, l = g[g["side"] == 0], g[g["side"] == 1]
@@ -4925,13 +4843,11 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
                   ["l_orderkey", "l_partkey", "l_suppkey",
                    "l_extendedprice", "l_discount"]).map_batches(
         l_part, batch_format="pandas")
-    survivors = part_keys.union(lines).groupby("bp").map_groups(
-        semi, batch_format="pandas")
+    survivors = _exchange([part_keys, lines], "key", semi)
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         o_part, batch_format="pandas")
-    partials = orders.union(survivors).groupby("bp").map_groups(
-        join_year, batch_format="pandas")
+    partials = _exchange([orders, survivors], "key", join_year)
     df = _reduce_small(partials, ["o_year", "nat"], ["c4"])
     if len(df) == 0:
         return pd.DataFrame({"o_year": pd.Series(dtype="int64"),
@@ -5055,8 +4971,7 @@ def q19_disjunctive_revenue(sf_dir: str):
         return pd.DataFrame({"key": k, "side": np.int8(0),
                              "brand": np.asarray(d["p_brand"], dtype=str),
                              "size": d["p_size"].to_numpy(dtype=np.int64),
-                             "qty": np.int64(0), "c4": np.int64(0),
-                             "bp": _bpart(k)})
+                             "qty": np.int64(0), "c4": np.int64(0)})
 
     def l_part(df: pd.DataFrame) -> pd.DataFrame:
         q = np.floor(df["l_quantity"].to_numpy() + 0.5).astype(np.int64)  # half-away (= SQL round) on positive qty; np.rint is half-even
@@ -5066,8 +4981,7 @@ def q19_disjunctive_revenue(sf_dir: str):
         return pd.DataFrame({"key": k, "side": np.int8(1),
                              "brand": np.full(len(d), "", dtype="U1"),
                              "size": np.int64(0), "qty": q[m],
-                             "c4": rev_c4(d["l_extendedprice"], d["l_discount"]),
-                             "bp": _bpart(k)})
+                             "c4": rev_c4(d["l_extendedprice"], d["l_discount"])})
 
     def branch_sum(g: pd.DataFrame) -> pd.DataFrame:
         p, l = g[g["side"] == 0], g[g["side"] == 1]
@@ -5089,8 +5003,7 @@ def q19_disjunctive_revenue(sf_dir: str):
                   ["l_partkey", "l_quantity", "l_extendedprice",
                    "l_discount"]).map_batches(l_part, batch_format="pandas")
     total = (
-        parts.union(lines).groupby("bp").map_groups(
-            branch_sum, batch_format="pandas")
+        _exchange([parts, lines], "key", branch_sum)
         .aggregate(Sum("c4", alias_name="c4"))
     )
     return pd.DataFrame({"revenue": [
@@ -5271,47 +5184,23 @@ ORDER BY doc_id, chunk_id
 """
 
 
-def source_overlap_matrix(sf_dir: str, n: int = 3, n_parts: int = 512):
+def source_overlap_matrix(sf_dir: str, n: int = 3):
     """Cross-source contamination matrix: for every source pair (a < b),
     the number of DISTINCT word n-grams both sources contain — the audit
     that says which corpus slices leak into each other (eval-set overlap,
     mirrored crawls, boilerplate families) before mixing weights are
     chosen.
 
-    Scale shape: the dup_ngram_spans explode (vectorized shifted-concat,
-    doc-boundary-valid) deduped to (source, gram) per batch -> ONE
-    hash(gram) coarse exchange -> in-partition global distinct + the
-    vectorized self-merge (minhash-bucket pattern; a gram lives wholly in
-    its partition, so pair counts are complete and partials sum) ->
-    driver reduce bounded by |sources|^2 rows. The registered oracle is
+    Scale shape: the `_word_ngrams` explode deduped to (source, gram) per
+    batch -> ONE coarse exchange on gram (`_exchange`) -> in-partition
+    global distinct + the vectorized self-merge (minhash-bucket pattern; a
+    gram lives wholly in its partition, so pair counts are complete and
+    partials sum) -> driver reduce bounded by |sources|^2 rows. The registered oracle is
     the n=3 instantiation."""
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"source": pd.Series(dtype=str),
-                              "gram": pd.Series(dtype="object"),
-                              "part": pd.Series(dtype="int64")})
-        toks = _tokens(df["text"])
-        lens = toks.str.len().fillna(0).to_numpy(dtype=np.int64)
-        total = int(lens.sum())
-        if total < n:
-            return empty
-        words = toks.explode().dropna().to_numpy(dtype=object)
-        doc_rep = np.repeat(df["doc_id"].to_numpy(), lens)
-        src_rep = np.repeat(df["source"].astype(str).to_numpy(), lens)
-        m = total - n + 1
-        grams = words[:m]
-        for i in range(1, n):
-            grams = grams + " " + words[i:m + i]
-        valid = doc_rep[:m] == doc_rep[n - 1:]
-        out = pd.DataFrame({"source": src_rep[:m][valid],
-                            "gram": grams[valid]}).drop_duplicates()
-        # md5 partition key (version-stable, the _vocab_combine rule):
-        # factorize first so the hash runs once per DISTINCT gram
-        from .functions.dedup import md5_lower64_batch
-
-        codes, uniq = pd.factorize(out["gram"])
-        hv = (md5_lower64_batch(uniq) % np.uint64(n_parts)).astype(np.int64)
-        out["part"] = hv[codes]
-        return out
+        g = _word_ngrams(df["text"], n)
+        src = df["source"].astype(str).to_numpy()[g["row"].to_numpy()]
+        return pd.DataFrame({"source": src, "gram": g["gram"].to_numpy()}).drop_duplicates()
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["gram", "source"])[["gram", "source"]]
@@ -5327,11 +5216,9 @@ def source_overlap_matrix(sf_dir: str, n: int = 3, n_parts: int = 512):
                              "source_b": idx["source_y"].to_numpy(dtype=object),
                              "shared_grams": vc.to_numpy(dtype=np.int64)})
 
-    partials = (
-        _read(sf_dir, "documents", ["doc_id", "text", "source"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("part").map_groups(per_part, batch_format="pandas")
-    )
+    partials = _exchange(
+        _read(sf_dir, "documents", ["text", "source"]).map_batches(explode, batch_format="pandas"),
+        "gram", per_part)
     out = _reduce_small(partials, ["source_a", "source_b"], ["shared_grams"])
     if len(out) == 0:
         return pd.DataFrame({"source_a": pd.Series(dtype=str),

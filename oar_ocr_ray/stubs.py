@@ -528,8 +528,9 @@ class StubFormulaSession(_StubSessionBase):
     batch item (a real wrapper decodes token ids to the same surface; the
     stage applies normalize_latex downstream, the reference's
     decode -> normalize path). Stand-in deviation (documented): input is
-    the crop at page resolution — the real resize_unimernet/pad_to_target
-    legs would blend the deterministic pixel-text cells."""
+    the crop at page resolution — the real UniMERNet resize and pad legs
+    (not implemented here) would blend the deterministic pixel-text
+    cells."""
 
     def __call__(self, tensor: np.ndarray) -> list[str]:
         return [read_line_text(self._u8(tensor, i))

@@ -10,7 +10,6 @@ from oar_ocr_ray.ctc import (
     ctc_word_boxes,
     encode_ctc_logits,
     is_cjk,
-    pred_reverse,
 )
 
 
@@ -55,13 +54,6 @@ def test_encode_roundtrip():
         assert text == s
         if s:
             assert abs(conf - 0.9) < 1e-6
-
-
-def test_pred_reverse_keeps_ltr_runs():
-    assert pred_reverse("abc") == "abc"
-    assert pred_reverse("") == ""
-    # mixed: non-LTR chars reversed around LTR runs
-    assert pred_reverse("abcאב") == "באabc"
 
 
 def test_is_cjk():

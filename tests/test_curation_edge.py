@@ -206,17 +206,54 @@ def test_tfidf_and_unigram_vocab_prune(tmp_path):
     assert float(got[got.doc_id == 0].mean_logprob.iloc[0]) == exp
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_dup_ngram_spans_partition_invariant():
-    """The coarse partition key is internal: any n_parts must yield the
-    identical span set."""
-    from oar_ocr_ray.queries import dup_ngram_spans
+def test_partition_ids_are_stable_hashes_in_range():
+    """The one coarse partition id, without Ray: in [0, P), a negative
+    int key lands on its non-negative residue, a string key gets the same
+    id in every batch whatever its factorize order, and a multi-column
+    key is one combined id."""
+    from oar_ocr_ray.queries import _KEY_MIX, _partition_ids
 
-    sf = "/root/testdata/sf0.001"
-    a = normalize(dup_ngram_spans(sf, n_parts=7).to_pandas())
-    b = normalize(dup_ngram_spans(sf, n_parts=512).to_pandas())
+    p = 7
+    ints = np.array([-(2**62), -8, -1, 0, 6, 7, 2**40 + 3], dtype=np.int64)
+    ids = _partition_ids(pd.DataFrame({"k": ints}), "k", p)
+    assert ((ids >= 0) & (ids < p)).all()
+    assert ids.tolist() == [int(v) % p for v in ints]
+
+    a = _partition_ids(pd.DataFrame({"w": ["x", "y", "x"]}), "w", p)
+    b = _partition_ids(pa.table({"w": ["y", "z", "x"]}), "w", p)
+    assert a[0] == a[2] == b[2] and a[1] == b[0]
+    assert ((b >= 0) & (b < p)).all()
+
+    df = pd.DataFrame({"u": [-3, 5, -3, 5], "s": ["a", "a", "a", "b"]})
+    multi = _partition_ids(df, ["u", "s"], p)
+    s_ids = _partition_ids(df, "s", p)
+    assert multi.tolist() == [(int(u) * _KEY_MIX + int(c)) % p
+                              for u, c in zip(df["u"], s_ids)]
+    assert multi[0] == multi[2]
+    pairs = pd.DataFrame({"x": [2**40, -5], "y": [-3, 2**33]})
+    assert _partition_ids(pairs, ["x", "y"], p).tolist() == [
+        (int(x) * _KEY_MIX + int(y)) % p for x, y in zip(pairs["x"], pairs["y"])]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", [
+    "dup_ngram_spans", "ngram_jaccard_dup_pairs", "source_overlap_matrix",
+    "events_window_distinct_users", "events_asof_join", "q4_order_priority",
+    "q13_customer_distribution",
+])
+def test_exchange_partition_count_invariant(monkeypatch, name):
+    """The coarse partition count is internal: 7 and 64 partitions must
+    yield the identical output."""
+    from oar_ocr_ray import queries
+
+    def run(n_parts):
+        monkeypatch.setattr(queries, "_n_parts", lambda: n_parts)
+        out = getattr(queries, name)("/root/testdata/sf0.001")
+        return normalize(out if isinstance(out, pd.DataFrame) else out.to_pandas())
+
+    a, b = run(7), run(64)
     assert len(a) > 0
-    assert_equal(a, b)
+    pd.testing.assert_frame_equal(a, b)
 
 
 @pytest.mark.usefixtures("ray_session")

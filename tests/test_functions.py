@@ -15,7 +15,6 @@ from oar_ocr_ray.functions.dedup import (
 )
 from oar_ocr_ray.functions.text_analysis import (
     LangId,
-    bpe_ish_token_count,
     fingerprint,
     quality_score,
     token_count,
@@ -30,12 +29,6 @@ def docs(*texts):
 def test_token_count():
     out = token_count(docs("a b  c", "", "  ", "one"))
     assert out["n_tokens"].tolist() == [3, 0, 0, 1]
-
-
-def test_bpe_ish():
-    out = bpe_ish_token_count(docs("ab12,cd!"))
-    # ab | 12 | , | cd | !
-    assert out["n_bpe_tokens"].tolist() == [5]
 
 
 def test_quality_score():

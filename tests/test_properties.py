@@ -245,14 +245,6 @@ def test_ngram_jaccard_equals_minhash_pair_set(ray_session):
     )
 
 
-def test_ngram_jaccard_partition_count_invariant(ray_session):
-    from oar_ocr_ray.queries import ngram_jaccard_dup_pairs
-
-    a = ngram_jaccard_dup_pairs("/root/testdata/sf0.001", n_shingle_parts=7)
-    b = ngram_jaccard_dup_pairs("/root/testdata/sf0.001", n_shingle_parts=64)
-    pd.testing.assert_frame_equal(a.reset_index(drop=True), b.reset_index(drop=True))
-
-
 def test_asof_join_matches_per_user_bruteforce(ray_session):
     import pyarrow.parquet as pq
 

@@ -29,18 +29,6 @@ TEST_ORACLES = {
     "oar_ocr_ray.stubs.classify_line_orientation",
     "oar_ocr_ray.stubs.correct_line_orientation",
 }
-# The next deletion, with the tests that only they serve:
-QUEUED = {
-    "oar_ocr_ray.preprocess.resize_unimernet",
-    "oar_ocr_ray.preprocess.pad_to_target",
-    "oar_ocr_ray.preprocess.resize_short",
-    "oar_ocr_ray.preprocess.center_crop",
-    "oar_ocr_ray.geometry.mask_regions",
-    "oar_ocr_ray.ctc.pred_reverse",
-    "oar_ocr_ray.ctc._RTL_RUN",
-    "oar_ocr_ray.functions.text_analysis.bpe_ish_token_count",
-    "oar_ocr_ray.functions.text_analysis._BPE_ISH",
-}
 
 
 def module_path(name: str) -> str | None:
@@ -187,7 +175,7 @@ def unreached_names() -> set[str]:
 def test_only_the_allowlisted_names_are_unreached():
     """A stale allowlist entry fails too: each one must still be
     unreached."""
-    assert unreached_names() == TEST_ORACLES | QUEUED
+    assert unreached_names() == TEST_ORACLES
 
 
 def test_perfbench_patches_resolve(tmp_path):

@@ -1,41 +1,16 @@
-"""Round-2 operators: mask_regions (utils/image.rs:781), normalize_latex
-(formula_preprocess.rs:269-374), UVDoc warp math (uvdoc.rs +
-uvdoc_postprocess.rs), PP-LCNet / UniMERNet preprocess."""
+"""Round-2 operators: normalize_latex (formula_preprocess.rs:269-374),
+UVDoc warp math (uvdoc.rs + uvdoc_postprocess.rs), UniMERNet crop-margin."""
 
 import numpy as np
 
 from oar_ocr_ray.formula import normalize_latex
-from oar_ocr_ray.geometry import mask_regions
-from oar_ocr_ray.preprocess import (
-    center_crop,
-    crop_margin,
-    pad_to_target,
-    resize_short,
-    resize_unimernet,
-)
+from oar_ocr_ray.preprocess import crop_margin
 from oar_ocr_ray.rectify import (
     UVDocRectifier,
     grid_sample_bilinear,
     identity_grid,
     resize_bilinear,
 )
-
-
-# --- mask_regions ---
-
-def test_mask_regions_fills_and_clamps():
-    img = np.zeros((20, 20), dtype=np.uint8)
-    out = mask_regions(img, np.array([[2, 2, 5, 5], [18, 18, 30, 30]]), 255)
-    assert out[2:5, 2:5].min() == 255
-    assert out[18:, 18:].min() == 255  # out-of-bounds clamped, no error
-    assert out[0, 0] == 0
-    assert img[2, 2] == 0  # original untouched (copy semantics)
-
-
-def test_mask_regions_degenerate_box_noop():
-    img = np.zeros((10, 10), dtype=np.uint8)
-    out = mask_regions(img, np.array([[5, 5, 5, 9]]), 255)
-    assert (out == 0).all()
 
 
 # --- normalize_latex (LaTeX-OCR post_process parity) ---
@@ -102,16 +77,6 @@ def test_uvdoc_rectifier_resizes_back_to_original():
     assert (out == 128).all()  # constant image survives both resize legs
 
 
-# --- PP-LCNet preprocess ---
-
-def test_resize_short_and_center_crop():
-    img = np.zeros((100, 200), dtype=np.uint8)
-    r = resize_short(img, 50)
-    assert r.shape == (50, 100)  # shorter side -> 50, aspect kept
-    c = center_crop(r, 40)
-    assert c.shape == (40, 40)
-
-
 # --- UniMERNet preprocess ---
 
 def test_crop_margin_crops_to_content():
@@ -124,20 +89,6 @@ def test_crop_margin_crops_to_content():
 def test_crop_margin_uniform_unchanged():
     img = np.full((10, 10), 77, dtype=np.uint8)
     assert crop_margin(img).shape == (10, 10)
-
-
-def test_resize_unimernet_fits_target():
-    img = np.zeros((100, 400), dtype=np.uint8)
-    out = resize_unimernet(img, (192, 672))
-    assert out.shape[0] <= 192 and out.shape[1] <= 672
-
-
-def test_pad_to_target_centers():
-    img = np.zeros((10, 20), dtype=np.uint8)
-    out = pad_to_target(img, (20, 40), fill=255)
-    assert out.shape == (20, 40)
-    assert (out[5:15, 10:30] == 0).all()
-    assert out[0, 0] == 255
 
 
 def test_resize_bilinear_identity():
