@@ -1,13 +1,19 @@
-"""Similarity search over an embedding column (list<float>).
+"""Top-k similarity search over an embedding column (list<float>).
 
-  brute_force_topk — baseline: per-batch numpy matmul of the batch's
-      embedding matrix against a BROADCAST query matrix (ray.put once, read
-      per actor — never re-shipped per batch), emitting per-batch partial
-      top-k; a final tiny reduce keeps global top-k per query. Exact.
+  TopkScorer — the one actor-pool stage of every top-k ANN query. It holds
+      the query ids and matrix (passed once per actor, never re-shipped per
+      batch) and, per batch, emits each query's partial top-k
+      (query_id, vec_id, score) rows; topk_reduce keeps the global top-k.
+      The index supplies only the batch's score matrix and an optional
+      candidate mask:
 
-  lsh_topk — scale path: random-hyperplane LSH bucket per vector computed in
-      map_batches; queries only score vectors in their own (multi-probe)
-      buckets. Approximate, shuffle-free (bucket id is a narrow column).
+        brute_scores — exact cosine against every vector;
+        lsh_scores   — cosine against the vectors in a probed
+                       random-hyperplane bucket (approximate, shuffle-free);
+        ivf_scores   — quantized dot against the vectors of the clusters
+                       each query probes (ivf_parity_fit centroids);
+        pq_scores    — product-quantization ADC sums (pq_parity_fit
+                       codebooks), exact integer micro-units.
 
 Cosine convention: vectors L2-normalized; zero vectors score 0.
 """
@@ -30,45 +36,39 @@ def embedding_matrix(df: pd.DataFrame, col: str = "embedding") -> np.ndarray:
     return np.stack(df[col].to_numpy()).astype(np.float64)
 
 
-class BruteForceScorer:
-    """Actor-pool stage: holds the (broadcast) query matrix; emits partial
-    top-k (query_id, vec_id, score) rows per batch."""
+class TopkScorer:
+    """Actor-pool stage: `index(matrix, **fit)` is built once per actor and
+    maps a batch to (scores (Q, B), candidate mask (Q, B) or None). The cut
+    keeps each query's k best candidates in the SAME ordering as
+    topk_reduce and the DuckDB oracles — round(6) desc, vec_id asc — so a
+    rounded-equal pair straddling the k boundary keeps the vec_id the
+    oracle keeps."""
 
-    def __init__(self, queries_ref, k: int = 10):
-        import ray
-
-        q = ray.get(queries_ref) if not isinstance(queries_ref, dict) else queries_ref
-        self.qids = np.asarray(q["ids"])
-        self.qm = _normalize(np.asarray(q["matrix"], dtype=np.float64))
+    def __init__(self, ids, matrix, index, k: int = 10, **fit):
+        self.qids = np.asarray(ids)
+        self.score = index(np.asarray(matrix, dtype=np.float64), **fit)
         self.k = k
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:  # bucket-filtered blocks can be empty
+        if len(df) == 0:
             return pd.DataFrame(
                 {"query_id": pd.Series(dtype="int64"),
                  "vec_id": pd.Series(dtype="int64"),
                  "score": pd.Series(dtype="float64")}
             )
-        m = _normalize(embedding_matrix(df))
-        scores = self.qm @ m.T  # (Q, B)
-        vec_ids = df["vec_id"].to_numpy()
-        k = min(self.k, scores.shape[1])
-        # Per-batch cut uses the SAME ordering as topk_reduce and the DuckDB
-        # oracle — round(6) desc, vec_id asc — so a rounded-equal pair
-        # straddling the k boundary keeps the vec_id the oracle keeps.
+        scores, mask = self.score(df)
         rounded = round_half_away(scores, 6)
-        out_ids = np.empty((scores.shape[0], k), dtype=vec_ids.dtype)
-        out_scores = np.empty((scores.shape[0], k), dtype=np.float64)
-        for qi in range(scores.shape[0]):
-            order = np.lexsort((vec_ids, -rounded[qi]))[:k]
-            out_ids[qi] = vec_ids[order]
-            out_scores[qi] = scores[qi, order]
-        rows = {
-            "query_id": np.repeat(self.qids, k),
-            "vec_id": out_ids.ravel(),
-            "score": out_scores.ravel(),
-        }
-        return pd.DataFrame(rows)
+        vec_ids = df["vec_id"].to_numpy()
+        everyone = np.arange(len(vec_ids))
+        keep = []
+        for qi in range(len(self.qids)):
+            cand = everyone if mask is None else np.flatnonzero(mask[qi])
+            keep.append(cand[np.lexsort((vec_ids[cand], -rounded[qi, cand]))[: self.k]])
+        return pd.DataFrame({
+            "query_id": np.repeat(self.qids, [len(c) for c in keep]),
+            "vec_id": np.concatenate([vec_ids[c] for c in keep]),
+            "score": np.concatenate([rounded[qi, c] for qi, c in enumerate(keep)]),
+        })
 
 
 def topk_reduce(df: pd.DataFrame, k: int = 10) -> pd.DataFrame:
@@ -81,6 +81,12 @@ def topk_reduce(df: pd.DataFrame, k: int = 10) -> pd.DataFrame:
     df["score"] = round_half_away(df["score"], 6)
     df = df.sort_values(["query_id", "score", "vec_id"], ascending=[True, False, True])
     return df.groupby("query_id", sort=True).head(k).reset_index(drop=True)
+
+
+def brute_scores(qm: np.ndarray):
+    """Exact cosine of every query against every vector of the batch."""
+    qm = _normalize(qm)
+    return lambda df: (qm @ _normalize(embedding_matrix(df)).T, None)
 
 
 class HyperplaneLsh:
@@ -97,8 +103,31 @@ class HyperplaneLsh:
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["bucket"] = self.bucket(embedding_matrix(df))
+        df["bucket"] = self.bucket(_normalize(embedding_matrix(df)))
         return df
+
+
+def lsh_scores(qm: np.ndarray, nbits: int, multiprobe: bool):
+    """Cosine against only the vectors whose bucket some query probes: its
+    own bucket and, with multiprobe, every 1-bit-flip neighbour (Lv et al.
+    2007). The probed set is the union over the queries, as in the
+    oracle; the queries are normalized twice, as they always were."""
+    lsh = HyperplaneLsh(qm.shape[1], nbits=nbits)
+    qm = _normalize(qm)
+    probed = {int(b) for b in lsh.bucket(qm)}
+    if multiprobe:
+        probed |= {b ^ (1 << i) for b in probed for i in range(nbits)}
+    probed = np.array(sorted(probed))
+    qm = _normalize(qm)
+
+    def score(df: pd.DataFrame):
+        m = embedding_matrix(df)
+        hit = np.isin(lsh.bucket(m), probed)
+        scores = np.zeros((len(qm), len(m)))
+        scores[:, hit] = qm @ _normalize(m[hit]).T
+        return scores, np.broadcast_to(hit, scores.shape)
+
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +147,24 @@ def quantized_unit(m: np.ndarray) -> np.ndarray:
     return round_half_away(m / n, 6)
 
 
+def nearest_centroid(nv: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Per row, the centroid of highest round(dot, 6), lowest cluster id
+    on ties (numpy argmax returns the first max — identical to SQL's
+    ORDER BY sim DESC, cid ASC)."""
+    return round_half_away(nv @ centroids.T, 6).argmax(axis=1)
+
+
 def ivf_parity_fit(nv_sample: np.ndarray, k: int = 8, iters: int = 2) -> np.ndarray:
     """Deterministic Lloyd over quantized unit vectors.
 
     nv_sample must be quantized_unit() rows ordered by vec_id ascending.
-    Init: first k rows. Assignment: argmax of round(dot, 6) with lowest-
-    cluster-id tiebreak (numpy argmax returns the first max — identical to
-    SQL's ORDER BY sim DESC, cid ASC). Update: quantized_unit of the
-    element-wise member mean; empty clusters keep their centroid.
+    Init: first k rows. Assignment: nearest_centroid. Update:
+    quantized_unit of the element-wise member mean; empty clusters keep
+    their centroid.
     """
     c = nv_sample[: min(k, len(nv_sample))].copy()
     for _ in range(iters):
-        sims = round_half_away(nv_sample @ c.T, 6)
-        assign = sims.argmax(axis=1)
+        assign = nearest_centroid(nv_sample, c)
         for j in range(len(c)):
             members = nv_sample[assign == j]
             if len(members):
@@ -153,47 +187,22 @@ def ivf_parity_probe(nq: np.ndarray, centroids: np.ndarray, nprobe: int) -> list
     return out
 
 
-class IvfParityScorer:
-    """Actor-pool stage: assigns each batch vector to its final-centroid
-    cluster, then scores it against only the queries probing that cluster.
-    Emits partial top-k (query_id, vec_id, score) rows; scores are
-    round(dot of quantized unit vectors, 6) for oracle parity."""
+def ivf_scores(qm: np.ndarray, centroids: np.ndarray, nprobe: int):
+    """Dot of quantized unit vectors, each query against only the vectors
+    whose final-centroid cluster it probes (ivf_parity_probe)."""
+    nq = quantized_unit(qm)
+    probes = ivf_parity_probe(nq, centroids, nprobe)
 
-    def __init__(self, queries_ref, centroids_ref, probe_lists, k: int = 10):
-        import ray
-
-        q = ray.get(queries_ref) if not isinstance(queries_ref, dict) else queries_ref
-        self.qids = np.asarray(q["ids"])
-        self.qm = np.asarray(q["matrix"], dtype=np.float64)  # already quantized
-        self.cent = ray.get(centroids_ref) if not isinstance(centroids_ref, np.ndarray) else centroids_ref
-        self.probe = [np.asarray(p) for p in probe_lists]  # per query, tiny
-        self.k = k
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"query_id": pd.Series(dtype="int64"),
-             "vec_id": pd.Series(dtype="int64"),
-             "score": pd.Series(dtype="float64")}
-        )
-        if len(df) == 0:
-            return empty
+    def score(df: pd.DataFrame):
         nv = quantized_unit(embedding_matrix(df))
-        cluster = round_half_away(nv @ self.cent.T, 6).argmax(axis=1)
-        vec_ids = df["vec_id"].to_numpy()
-        out = []
-        for qi in range(len(self.qids)):
-            mask = np.isin(cluster, self.probe[qi])
-            if not mask.any():
-                continue
-            ids = vec_ids[mask]
-            scores = round_half_away(self.qm[qi] @ nv[mask].T, 6)
-            kk = min(self.k, len(ids))
-            order = np.lexsort((ids, -scores))[:kk]
-            out.append(pd.DataFrame(
-                {"query_id": np.full(kk, self.qids[qi]),
-                 "vec_id": ids[order], "score": scores[order]}
-            ))
-        return pd.concat(out, ignore_index=True) if out else empty
+        cluster = nearest_centroid(nv, centroids)
+        mask = np.stack([np.isin(cluster, p) for p in probes])
+        scores = np.zeros(mask.shape)
+        for qi, hit in enumerate(mask):
+            scores[qi, hit] = nq[qi] @ nv[hit].T
+        return scores, mask
+
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +214,21 @@ class IvfParityScorer:
 # they are exact and summation-order independent across engines.
 # ---------------------------------------------------------------------------
 
+def nearest_codeword(sv: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per subvector, the codeword of lowest round(L2, 6), lowest code on
+    ties (numpy argmin-first == SQL ORDER BY dist, cid)."""
+    return round_half_away(
+        np.sqrt(((sv[:, None, :] - words[None, :, :]) ** 2).sum(-1)), 6).argmin(axis=1)
+
+
 def pq_parity_fit(nv_sample: np.ndarray, m_sub: int = 4, k_codes: int = 8,
                   iters: int = 2) -> np.ndarray:
     """Per-subspace deterministic Lloyd codebooks: (m_sub, k_codes, sd).
 
     nv_sample: quantized_unit rows ordered by vec_id. Init per subspace =
-    first k_codes subvectors; assignment = argmin of round(L2, 6) with
-    lowest-code tiebreak (numpy argmin-first == SQL ORDER BY dist, cid);
-    update = member mean rounded to 6 (NOT re-normalized — subvectors are
-    not unit); empty codes keep their word."""
+    first k_codes subvectors; assignment = nearest_codeword; update =
+    member mean rounded to 6 (NOT re-normalized — subvectors are not
+    unit); empty codes keep their word."""
     d = nv_sample.shape[1]
     if d % m_sub != 0:
         raise ValueError(
@@ -231,9 +246,7 @@ def pq_parity_fit(nv_sample: np.ndarray, m_sub: int = 4, k_codes: int = 8,
         sv = nv_sample[:, m * sd:(m + 1) * sd]
         c = sv[: k_codes].copy()
         for _ in range(iters):
-            dist = round_half_away(
-                np.sqrt(((sv[:, None, :] - c[None, :, :]) ** 2).sum(-1)), 6)
-            assign = dist.argmin(axis=1)
+            assign = nearest_codeword(sv, c)
             for j in range(len(c)):
                 mem = sv[assign == j]
                 if len(mem):
@@ -243,65 +256,34 @@ def pq_parity_fit(nv_sample: np.ndarray, m_sub: int = 4, k_codes: int = 8,
 
 
 def pq_encode(nv: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """Nearest-codeword indices per subspace: (N, m_sub) int64, same
-    round6-L2 + lowest-code rule as the fit."""
+    """Nearest-codeword indices per subspace: (N, m_sub) int64."""
     m_sub, _k, sd = books.shape
     codes = np.empty((len(nv), m_sub), dtype=np.int64)
     for m in range(m_sub):
-        sv = nv[:, m * sd:(m + 1) * sd]
-        dist = round_half_away(
-            np.sqrt(((sv[:, None, :] - books[m][None, :, :]) ** 2).sum(-1)), 6)
-        codes[:, m] = dist.argmin(axis=1)
+        codes[:, m] = nearest_codeword(nv[:, m * sd:(m + 1) * sd], books[m])
     return codes
 
 
-class PqAdcScorer:
-    """Actor-pool stage: encode each batch's vectors to PQ codes, score
-    every query against the codes via the asymmetric-distance lookup
-    table (one int64 gather + sum per subspace — never a matmul against
-    raw vectors), emit per-batch partial top-k rows.
+def pq_scores(qm: np.ndarray, books: np.ndarray):
+    """Asymmetric-distance scores: each batch's vectors are encoded to PQ
+    codes and scored by one int64 gather + sum per subspace from a lookup
+    table — never a matmul against raw vectors.
 
-    The LUT is built ONCE per actor from the broadcast codebooks: entry
-    [q, m, c] = round6(dot(q_m, codeword)) in integer micro-units, so the
-    ADC sum over subspaces is exact integer math (order-independent
-    across engines — the rev_c4 cents trick applied to similarities)."""
+    The LUT is built ONCE per actor: entry [q, m, c] = round6(dot(q_m,
+    codeword)) in integer micro-units, so the ADC sum over subspaces is
+    exact integer math (order-independent across engines — the rev_c4
+    cents trick applied to similarities)."""
+    nq = quantized_unit(qm)
+    m_sub, k_codes, sd = books.shape
+    lut = np.empty((len(nq), m_sub, k_codes), dtype=np.int64)
+    for m in range(m_sub):
+        lut[:, m, :] = np.rint(
+            round_half_away(nq[:, m * sd:(m + 1) * sd] @ books[m].T, 6) * 1e6
+        ).astype(np.int64)
+    m_idx = np.arange(m_sub)
 
-    def __init__(self, queries_ref, books_ref, k: int = 10):
-        import ray
+    def score(df: pd.DataFrame):
+        codes = pq_encode(quantized_unit(embedding_matrix(df)), books)
+        return lut[:, m_idx, codes].sum(axis=2) / 1e6, None
 
-        q = ray.get(queries_ref) if not isinstance(queries_ref, dict) else queries_ref
-        self.qids = np.asarray(q["ids"])
-        qm = np.asarray(q["matrix"], dtype=np.float64)  # quantized units
-        self.books = ray.get(books_ref) if not isinstance(books_ref, np.ndarray) else books_ref
-        m_sub, k_codes, sd = self.books.shape
-        self.lut = np.empty((len(qm), m_sub, k_codes), dtype=np.int64)
-        for m in range(m_sub):
-            qs = qm[:, m * sd:(m + 1) * sd]
-            self.lut[:, m, :] = np.rint(
-                round_half_away(qs @ self.books[m].T, 6) * 1e6
-            ).astype(np.int64)
-        self.k = k
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"query_id": pd.Series(dtype="int64"),
-             "vec_id": pd.Series(dtype="int64"),
-             "score": pd.Series(dtype="float64")}
-        )
-        if len(df) == 0:
-            return empty
-        nv = quantized_unit(embedding_matrix(df))
-        codes = pq_encode(nv, self.books)
-        vec_ids = df["vec_id"].to_numpy()
-        m_idx = np.arange(codes.shape[1])[None, :]
-        out = []
-        for qi in range(len(self.qids)):
-            micro = self.lut[qi][m_idx, codes].sum(axis=1)  # exact int64
-            kk = min(self.k, len(vec_ids))
-            order = np.lexsort((vec_ids, -micro))[:kk]
-            out.append(pd.DataFrame(
-                {"query_id": np.full(kk, self.qids[qi]),
-                 "vec_id": vec_ids[order],
-                 "score": round_half_away(micro[order] / 1e6, 6)}
-            ))
-        return pd.concat(out, ignore_index=True) if out else empty
+    return score

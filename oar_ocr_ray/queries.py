@@ -1258,44 +1258,51 @@ FROM documents
 # Embeddings: similarity search
 # ---------------------------------------------------------------------------
 
-def _query_vectors(sf_dir: str, n_queries: int) -> pd.DataFrame:
-    """The n_queries lowest-vec_id embedding rows, WITHOUT a full-table
-    driver read: scan only the narrow vec_id column to pick ids, then read
-    embedding rows through a parquet row filter. (In production the query
-    set comes from the user; this derivation exists so the benchmark is
-    self-contained.)"""
-    import pyarrow.compute as _pc
+def _lowest_vec_ids(sf_dir: str, n: int) -> pd.DataFrame:
+    """The n lowest-vec_id embedding rows (vec_id, embedding), in vec_id
+    order, WITHOUT a full-table driver read: scan only the narrow vec_id
+    column to find the cutoff, then read embedding rows through a parquet
+    row filter. vec_id order (not file order) makes the query set and the
+    index fits' samples reproducible in SQL (ORDER BY vec_id LIMIT n). (In
+    production the query set comes from the user; deriving it here keeps
+    the benchmark self-contained.)"""
     import pyarrow.parquet as pq
 
-    ids = pq.read_table(_p(sf_dir, "embeddings"), columns=["vec_id"])["vec_id"]
-    wanted = sorted(ids.to_pylist())[:n_queries]
-    t = pq.read_table(
-        _p(sf_dir, "embeddings"), columns=["vec_id", "embedding"],
-        filters=[("vec_id", "in", wanted)],
-    )
-    return t.to_pandas().sort_values("vec_id").reset_index(drop=True)
+    path = _p(sf_dir, "embeddings")
+    ids = pq.read_table(path, columns=["vec_id"])["vec_id"].to_numpy()
+    cutoff = int(np.sort(ids)[:n][-1])
+    t = pq.read_table(path, columns=["vec_id", "embedding"],
+                      filters=[("vec_id", "<=", cutoff)])
+    return t.to_pandas().sort_values("vec_id", ignore_index=True)
 
 
-def ann_topk(sf_dir: str, k: int = 10, n_queries: int = 5):
-    """Brute-force cosine top-k: broadcast query matrix, per-batch numpy
-    matmul partials, tiny final reduce."""
-    _require_cluster_cpus("ann_topk")
-    import ray
+def _ann_search(sf_dir: str, query: str, index, k: int, n_queries: int, **fit):
+    """The one search driver of the top-k ANN queries: the n_queries
+    lowest-vec_id vectors are the queries, a concurrency=2 actor pool of
+    functions.ann.TopkScorer(index, **fit) emits per-batch partial top-k
+    rows, and a tiny driver reduce keeps the global top-k."""
+    _require_cluster_cpus(query)
+    from .functions.ann import TopkScorer, embedding_matrix, topk_reduce
 
-    from .functions.ann import BruteForceScorer, topk_reduce
-
-    qdf = _query_vectors(sf_dir, n_queries)
-    queries_ref = ray.put(
-        {"ids": qdf["vec_id"].to_numpy(), "matrix": np.stack(qdf["embedding"].to_numpy())}
-    )
+    qdf = _lowest_vec_ids(sf_dir, n_queries)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     partials = ds.map_batches(
-        BruteForceScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
+        TopkScorer,
+        fn_constructor_kwargs={"ids": qdf["vec_id"].to_numpy(),
+                               "matrix": embedding_matrix(qdf),
+                               "index": index, "k": k, **fit},
         batch_format="pandas",
         concurrency=2,
     )
     return topk_reduce(partials.to_pandas(), k)
+
+
+def ann_topk(sf_dir: str, k: int = 10, n_queries: int = 5):
+    """Brute-force cosine top-k: every vector scored against the query
+    matrix, per-batch partials, tiny final reduce."""
+    from .functions.ann import brute_scores
+
+    return _ann_search(sf_dir, "ann_topk", brute_scores, k, n_queries)
 
 
 ANN_TOPK_SQL = """
@@ -1821,38 +1828,10 @@ def ann_lsh_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nbits: int = 8,
     scored only against their own bucket (approximate, shuffle-free).
     multiprobe=True widens each query's probe set with every 1-bit-flip
     neighbour bucket (Lv et al. 2007) — the recall lever."""
-    _require_cluster_cpus("ann_lsh_topk")
-    import ray
+    from .functions.ann import lsh_scores
 
-    from .functions.ann import BruteForceScorer, HyperplaneLsh, topk_reduce, _normalize
-
-    qdf = _query_vectors(sf_dir, n_queries)
-    dim = len(qdf["embedding"].iloc[0])
-    lsh = HyperplaneLsh(dim, nbits=nbits)
-    qm = _normalize(np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
-    qbuckets = lsh.bucket(qm)
-    wanted = set(int(b) for b in qbuckets)
-    if multiprobe:
-        wanted |= {int(b) ^ (1 << i) for b in qbuckets for i in range(nbits)}
-    queries_ref = ray.put({"ids": qdf["vec_id"].to_numpy(), "matrix": qm})
-
-    class ProbedScorer(BruteForceScorer):
-        """Scores only the vectors in a probed bucket. The filter runs in
-        the scorer, so a block with none of them still leaves as typed
-        empty partials rather than as no block at all."""
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            df = lsh(df)
-            return super().__call__(df[df["bucket"].isin(wanted)])
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    partials = ds.map_batches(
-        ProbedScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-        batch_format="pandas",
-        concurrency=2,
-    )
-    return topk_reduce(partials.to_pandas(), k)
+    return _ann_search(sf_dir, "ann_lsh_topk", lsh_scores, k, n_queries,
+                       nbits=nbits, multiprobe=multiprobe)
 
 
 def _lsh_bucket_sql(col: str, nbits: int, dim: int = 64, seed: int = 11) -> str:
@@ -1987,6 +1966,13 @@ def distinct_sources(sf_dir: str):
 DISTINCT_SOURCES_SQL = "SELECT DISTINCT source FROM documents"
 
 
+def _no_pairs() -> pd.DataFrame:
+    """The empty (vec_a, vec_b, cosine) frame of the near-dup queries."""
+    return pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
+                         "vec_b": pd.Series(dtype="int64"),
+                         "cosine": pd.Series(dtype="float64")})
+
+
 def embedding_near_dup(sf_dir: str, threshold: float = 0.45,
                        max_exact_rows: int = 200_000):
     """Embedding-cosine near-duplicate pairs, EXACT: the normalized corpus
@@ -2024,19 +2010,14 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.45,
     })
 
     def block_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                              "vec_b": pd.Series(dtype="int64"),
-                              "cosine": pd.Series(dtype="float64")})
         if len(df) == 0:
-            return empty
+            return _no_pairs()
         corpus = ray.get(all_ref)
         m = _normalize(embedding_matrix(df))
         ids = df["vec_id"].to_numpy()
         sim = round_half_away(m @ corpus["matrix"].T, 6)  # (B, N)
         keep = (sim >= threshold) & (ids[:, None] < corpus["ids"][None, :])
         bi, ci = np.nonzero(keep)
-        if len(bi) == 0:
-            return empty
         return pd.DataFrame({"vec_a": ids[bi], "vec_b": corpus["ids"][ci],
                              "cosine": sim[bi, ci]})
 
@@ -2060,31 +2041,14 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.45, nbits: int = 4)
     constructor, not per batch), all-pairs verify only within buckets.
     Approximate: recall depends on nbits vs threshold angle."""
     _require_cluster_cpus("embedding_near_dup_lsh")
-    import pyarrow.parquet as pq
-
     from .functions.ann import HyperplaneLsh, _normalize, embedding_matrix
 
-    pf = pq.ParquetFile(_p(sf_dir, "embeddings"))
-    dim = len(pf.read_row_group(0, columns=["embedding"])["embedding"][0])
-
-    class Bucketize:
-        def __init__(self):
-            self.lsh = HyperplaneLsh(dim, nbits=nbits)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame({"vec_id": df["vec_id"].to_numpy()})
-            out["bucket"] = self.lsh.bucket(_normalize(embedding_matrix(df))) if len(df) else []
-            out["embedding"] = df["embedding"].to_numpy()
-            return out
-
+    dim = len(_lowest_vec_ids(sf_dir, 1)["embedding"].iloc[0])
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    bucketed = ds.map_batches(Bucketize, batch_format="pandas", concurrency=2)
+    bucketed = ds.map_batches(HyperplaneLsh, batch_format="pandas", concurrency=2,
+                              fn_constructor_kwargs={"dim": dim, "nbits": nbits})
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                                 "vec_b": pd.Series(dtype="int64"),
-                                 "cosine": pd.Series(dtype="float64")})
         m = _normalize(embedding_matrix(g))
         ids = g["vec_id"].to_numpy()
         sim = round_half_away(m @ m.T, 6)
@@ -2099,9 +2063,7 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.45, nbits: int = 4)
     out = bucketed.groupby("bucket").map_groups(pairs, batch_format="pandas")
     df = out.to_pandas()
     if df.empty:  # keep a stable schema even when no near-dups exist
-        return pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                             "vec_b": pd.Series(dtype="int64"),
-                             "cosine": pd.Series(dtype="float64")})
+        return _no_pairs()
     return df.drop_duplicates(subset=["vec_a", "vec_b"]).sort_values(
         ["vec_a", "vec_b"]).reset_index(drop=True)
 
@@ -2410,25 +2372,6 @@ GROUP BY r.r_name
 
 
 
-def _sample_nv_by_vecid(sf_dir: str, max_rows: int = 4096) -> np.ndarray:
-    """Quantized unit vectors of the max_rows LOWEST-vec_id embeddings, in
-    vec_id order — without a full-table driver read: scan only the narrow
-    vec_id column to find the cutoff, then read through a row filter.
-    vec_id order (not file order) makes the sample reproducible in SQL
-    (ORDER BY vec_id LIMIT n)."""
-    import pyarrow.parquet as pq
-
-    from .functions.ann import quantized_unit
-
-    ids = pq.read_table(_p(sf_dir, "embeddings"), columns=["vec_id"])["vec_id"].to_pylist()
-    cutoff = sorted(ids)[: max_rows][-1]
-    t = pq.read_table(
-        _p(sf_dir, "embeddings"), columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<=", cutoff)],
-    ).to_pandas().sort_values("vec_id")
-    return quantized_unit(np.stack(t["embedding"].to_numpy()).astype(np.float64))
-
-
 def ann_ivf_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nprobe: int = 3,
                  n_clusters: int = 8, iters: int = 2):
     """IVF ANN with an EXACT DuckDB oracle (ANN_IVF_SQL).
@@ -2436,37 +2379,17 @@ def ann_ivf_topk(sf_dir: str, k: int = 10, n_queries: int = 5, nprobe: int = 3,
     Centroids fit driver-side on a BOUNDED vec_id-ordered sample (<=4096
     vectors, never the full table) with a fully deterministic Lloyd
     (first-K init, every intermediate quantized to 6 decimals — see
-    functions.ann.ivf_parity_fit), broadcast once; batches assign clusters
-    vectorized and score only against the queries probing their cluster.
-    The quantization makes the whole build SQL-reproducible; the structure
-    (bounded fit + broadcast + per-batch assign + nprobe pruning) is the
-    standard IVF scale path."""
-    _require_cluster_cpus("ann_ivf_topk")
-    import ray
+    functions.ann.ivf_parity_fit), passed once per actor; batches assign
+    clusters vectorized and score only against the queries probing their
+    cluster. The quantization makes the whole build SQL-reproducible; the
+    structure (bounded fit + broadcast + per-batch assign + nprobe
+    pruning) is the standard IVF scale path."""
+    from .functions.ann import embedding_matrix, ivf_parity_fit, ivf_scores, quantized_unit
 
-    from .functions.ann import (
-        IvfParityScorer, ivf_parity_fit, ivf_parity_probe, quantized_unit, topk_reduce,
-    )
-
-    nv_sample = _sample_nv_by_vecid(sf_dir, max_rows=4096)
+    nv_sample = quantized_unit(embedding_matrix(_lowest_vec_ids(sf_dir, 4096)))
     centroids = ivf_parity_fit(nv_sample, k=n_clusters, iters=iters)
-    qdf = _query_vectors(sf_dir, n_queries)
-    nq = quantized_unit(np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
-    probe_lists = ivf_parity_probe(nq, centroids, nprobe)
-    queries_ref = ray.put({"ids": qdf["vec_id"].to_numpy(), "matrix": nq})
-    cent_ref = ray.put(centroids)
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    partials = ds.map_batches(
-        IvfParityScorer,
-        fn_constructor_kwargs={
-            "queries_ref": queries_ref, "centroids_ref": cent_ref,
-            "probe_lists": probe_lists, "k": k,
-        },
-        batch_format="pandas",
-        concurrency=2,
-    )
-    return topk_reduce(partials.to_pandas(), k)
+    return _ann_search(sf_dir, "ann_ivf_topk", ivf_scores, k, n_queries,
+                       centroids=centroids, nprobe=nprobe)
 
 
 def _ivf_sql(k: int = 8, iters: int = 2, nprobe: int = 3, n_queries: int = 5,
@@ -2532,11 +2455,11 @@ QUALIFY row_number() OVER (PARTITION BY query_id ORDER BY score DESC, vec_id) <=
 ANN_IVF_SQL = _ivf_sql()
 
 
-def _cluster_assign_fn(cent_ref, keep_embedding: bool = False):
-    """Per-batch nearest-centroid assignment against broadcast centroids
-    (shared by embedding_clusters and semdedup_prune; parity: argmax of
-    round6 similarity = SQL's ORDER BY sim DESC, cid ASC)."""
-    from .functions.ann import embedding_matrix, quantized_unit
+def _cluster_assign_fn(centroids: np.ndarray, keep_embedding: bool = False):
+    """Per-batch nearest-centroid assignment (shared by embedding_clusters
+    and semdedup_prune; parity: functions.ann.nearest_centroid = SQL's
+    ORDER BY sim DESC, cid ASC)."""
+    from .functions.ann import embedding_matrix, nearest_centroid, quantized_unit
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -2545,11 +2468,7 @@ def _cluster_assign_fn(cent_ref, keep_embedding: bool = False):
                 out["embedding"] = pd.Series(dtype="object")
             out["cluster"] = pd.Series(dtype="int64")
             return pd.DataFrame(out)
-        import ray as _ray
-
-        cents = _ray.get(cent_ref)
-        nv = quantized_unit(embedding_matrix(df))
-        cluster = round_half_away(nv @ cents.T, 6).argmax(axis=1)
+        cluster = nearest_centroid(quantized_unit(embedding_matrix(df)), centroids)
         out = {"vec_id": df["vec_id"].to_numpy()}
         if keep_embedding:
             out["embedding"] = df["embedding"].to_numpy()
@@ -2563,18 +2482,14 @@ def embedding_clusters(sf_dir: str, n_clusters: int = 8, iters: int = 2):
     """Corpus clustering for data curation (the SemDeDup-style semantic
     bucketing step, Abbas et al. 2023 — public): every vector assigned to
     its cluster under the deterministic quantized-Lloyd fit. Same bounded
-    driver-side fit + broadcast + vectorized per-batch assign as
-    ann_ivf_topk; EXACT DuckDB oracle sharing the IVF CTE prefix."""
-    import ray
+    driver-side fit + vectorized per-batch assign as ann_ivf_topk; EXACT
+    DuckDB oracle sharing the IVF CTE prefix."""
+    from .functions.ann import embedding_matrix, ivf_parity_fit, quantized_unit
 
-    from .functions.ann import ivf_parity_fit
-
-    nv_sample = _sample_nv_by_vecid(sf_dir, max_rows=4096)
+    nv_sample = quantized_unit(embedding_matrix(_lowest_vec_ids(sf_dir, 4096)))
     centroids = ivf_parity_fit(nv_sample, k=n_clusters, iters=iters)
-    cent_ref = ray.put(centroids)
-
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ds.map_batches(_cluster_assign_fn(cent_ref), batch_format="pandas")
+    return ds.map_batches(_cluster_assign_fn(centroids), batch_format="pandas")
 
 
 EMB_CLUSTERS_SQL = _ivf_sql(
@@ -3089,17 +3004,14 @@ def semdedup_prune(sf_dir: str, thr: float = 0.45, n_clusters: int = 8,
     partition-parallel — unlike the greedy chain variant.
 
     Scale shape: the deterministic quantized-Lloyd fit runs on a BOUNDED
-    vec_id-ordered sample (driver-side, 4096 rows), centroids broadcast via
-    ray.put; assignment is one vectorized map; the all-pairs check is
-    cluster-local after ONE keyed shuffle — at web scale n_clusters grows
+    vec_id-ordered sample (driver-side, 4096 rows), centroids shipped with
+    the assign function; assignment is one vectorized map; the all-pairs
+    check is cluster-local after ONE keyed shuffle — at web scale n_clusters grows
     with the corpus (SemDeDup's own recipe) so each group stays bounded."""
-    import ray
-
     from .functions.ann import embedding_matrix, ivf_parity_fit, quantized_unit
 
-    nv_sample = _sample_nv_by_vecid(sf_dir, max_rows=4096)
+    nv_sample = quantized_unit(embedding_matrix(_lowest_vec_ids(sf_dir, 4096)))
     centroids = ivf_parity_fit(nv_sample, k=n_clusters, iters=iters)
-    cent_ref = ray.put(centroids)
 
     def prune(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("vec_id")
@@ -3112,7 +3024,7 @@ def semdedup_prune(sf_dir: str, thr: float = 0.45, n_clusters: int = 8,
                              "kept": ~dup})
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return (ds.map_batches(_cluster_assign_fn(cent_ref, keep_embedding=True),
+    return (ds.map_batches(_cluster_assign_fn(centroids, keep_embedding=True),
                            batch_format="pandas")
             .groupby("cluster").map_groups(prune, batch_format="pandas"))
 
@@ -4148,33 +4060,17 @@ def ann_pq_topk(sf_dir: str, k: int = 10, n_queries: int = 5, m_sub: int = 4,
     matmul against raw vectors. At scale this is the memory lever: 64
     float32 dims become m_sub small codes resident in RAM.
 
-    Scale shape: bounded driver fit -> ray.put(codebooks) (tiny) -> ONE
+    Scale shape: bounded driver fit -> codebooks (tiny) once per actor -> ONE
     pass over embeddings (encode + ADC + per-batch partial top-k) ->
     k x n_queries x blocks rows reduce on the driver. EXACT DuckDB
     oracle (_pq_sql): every Lloyd step on the round6 grid, ADC sums in
     integer micro-units (order-independent), same DESC/vec_id tiebreaks.
     Quality vs the exact baseline is measured by ann_recall_pq."""
-    _require_cluster_cpus("ann_pq_topk")
-    import ray
+    from .functions.ann import embedding_matrix, pq_parity_fit, pq_scores, quantized_unit
 
-    from .functions.ann import PqAdcScorer, pq_parity_fit, quantized_unit, topk_reduce
-
-    nv_sample = _sample_nv_by_vecid(sf_dir, max_rows=4096)
+    nv_sample = quantized_unit(embedding_matrix(_lowest_vec_ids(sf_dir, 4096)))
     books = pq_parity_fit(nv_sample, m_sub=m_sub, k_codes=k_codes, iters=iters)
-    qdf = _query_vectors(sf_dir, n_queries)
-    nq = quantized_unit(np.stack(qdf["embedding"].to_numpy()).astype(np.float64))
-    queries_ref = ray.put({"ids": qdf["vec_id"].to_numpy(), "matrix": nq})
-    books_ref = ray.put(books)
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    partials = ds.map_batches(
-        PqAdcScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref,
-                               "books_ref": books_ref, "k": k},
-        batch_format="pandas",
-        concurrency=2,
-    )
-    return topk_reduce(partials.to_pandas(), k)
+    return _ann_search(sf_dir, "ann_pq_topk", pq_scores, k, n_queries, books=books)
 
 
 def _pq_sql(m_sub: int = 4, k_codes: int = 8, iters: int = 2,
@@ -4378,32 +4274,34 @@ def q4_order_priority(sf_dir: str):
     key and the semi-join is a vectorized in-partition merge. The final
     5-row groupby sums the per-partition counts on the driver."""
     lo, hi = np.datetime64("1996-01-01"), np.datetime64("1996-04-01")
+    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("prio", pa.string()),
+                       ("date", pa.timestamp("us"))])
+    counts = pa.schema([("prio", pa.string()), ("n", pa.int64())])
 
-    def o_part(df: pd.DataFrame) -> pd.DataFrame:
+    def o_part(df: pd.DataFrame) -> pa.Table:
         d = df[(df["o_orderdate"].to_numpy() >= lo) & (df["o_orderdate"].to_numpy() < hi)]
-        return pd.DataFrame({
+        return _arrow(pd.DataFrame({
             "key": d["o_orderkey"].to_numpy(), "side": np.int8(0),
             "prio": d["o_orderpriority"].astype(str),
             "date": d["o_orderdate"].to_numpy(),
-        })
+        }), sides)
 
-    def l_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
+    def l_part(df: pd.DataFrame) -> pa.Table:
+        return _arrow(pd.DataFrame({
             "key": df["l_orderkey"].to_numpy(), "side": np.int8(1),
             "prio": "", "date": df["l_shipdate"].to_numpy(),
-        })
+        }), sides)
 
-    def semi_count(g: pd.DataFrame) -> pd.DataFrame:
+    def semi_count(g: pd.DataFrame) -> pa.Table:
         o = g[g["side"] == 0]
         l = g[g["side"] == 1]
         if len(o) == 0:
-            return pd.DataFrame({"prio": np.array([], dtype="U1"),
-                                 "n": np.array([], dtype=np.int64)})
+            return counts.empty_table()
         m = o.merge(l[["key", "date"]], on="key", suffixes=("", "_l"))
         late = m[m["date_l"].to_numpy() > m["date"].to_numpy()]
         hit = o[o["key"].isin(set(late["key"]))]
         vc = hit["prio"].value_counts()
-        return pd.DataFrame({"prio": vc.index.astype(str), "n": vc.to_numpy()})
+        return _arrow(pd.DataFrame({"prio": vc.index.astype(str), "n": vc.to_numpy()}), counts)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])\
         .map_batches(o_part, batch_format="pandas")
@@ -4784,58 +4682,61 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
                                                        reg["r_name"])))))
     supp_nation = dict(zip(supp["s_suppkey"], supp["s_nationkey"].map(nname)))
     cust_nationkey = dict(zip(cust["c_custkey"], cust["c_nationkey"]))
+    part_sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("okey", pa.int64()),
+                            ("nat", pa.string()), ("c4", pa.int64())])
+    order_sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("nat", pa.string()),
+                             ("year", pa.int64()), ("c4", pa.int64())])
+    shares = pa.schema([("o_year", pa.int64()), ("nat", pa.string()), ("c4", pa.int64())])
 
     # ---- exchange 1: lineitem semi-join part (p_type filter) on partkey
-    def p_part(df: pd.DataFrame) -> pd.DataFrame:
+    def p_part(df: pd.DataFrame) -> pa.Table:
         d = df[df["p_type"].to_numpy() == ptype]
         k = d["p_partkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(0),
-                             "okey": np.int64(0),
-                             "nat": np.full(len(k), "", dtype="U1"),
-                             "c4": np.int64(0)})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
+                                    "okey": np.int64(0),
+                                    "nat": np.full(len(k), "", dtype="U1"),
+                                    "c4": np.int64(0)}), part_sides)
 
-    def l_part(df: pd.DataFrame) -> pd.DataFrame:
+    def l_part(df: pd.DataFrame) -> pa.Table:
         k = df["l_partkey"].to_numpy(dtype=np.int64)
         sn = df["l_suppkey"].map(supp_nation)
-        return pd.DataFrame({
+        return _arrow(pd.DataFrame({
             "key": k, "side": np.int8(1),
             "okey": df["l_orderkey"].to_numpy(dtype=np.int64),
             "nat": np.asarray(sn, dtype=str),
-            "c4": rev_c4(df["l_extendedprice"], df["l_discount"])})
+            "c4": rev_c4(df["l_extendedprice"], df["l_discount"])}), part_sides)
 
-    def semi(g: pd.DataFrame) -> pd.DataFrame:
+    def semi(g: pd.DataFrame) -> pa.Table:
         lmask = g["side"].to_numpy() == 1
         good = set(g.loc[~lmask, "key"])
         l = g[lmask]
         d = l[l["key"].isin(good)]
         k = d["okey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(1),
-                             "nat": np.asarray(d["nat"], dtype=str),
-                             "year": np.int64(0),
-                             "c4": d["c4"].to_numpy(dtype=np.int64)})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(1),
+                                    "nat": np.asarray(d["nat"], dtype=str),
+                                    "year": np.int64(0),
+                                    "c4": d["c4"].to_numpy(dtype=np.int64)}), order_sides)
 
     # ---- exchange 2: surviving lines join orders (region + date) on orderkey
-    def o_part(df: pd.DataFrame) -> pd.DataFrame:
+    def o_part(df: pd.DataFrame) -> pa.Table:
         od = df["o_orderdate"].to_numpy()
         d = df[(od >= lo) & (od < hi)]
         nk = d["o_custkey"].map(cust_nationkey)
         rg = nk.map(nregion)
         d = d[(rg == region).to_numpy()]
         k = d["o_orderkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(0),
-                             "nat": np.full(len(k), "", dtype="U1"),
-                             "year": d["o_orderdate"].dt.year.to_numpy(dtype=np.int64),
-                             "c4": np.int64(0)})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
+                                    "nat": np.full(len(k), "", dtype="U1"),
+                                    "year": d["o_orderdate"].dt.year.to_numpy(dtype=np.int64),
+                                    "c4": np.int64(0)}), order_sides)
 
-    def join_year(g: pd.DataFrame) -> pd.DataFrame:
+    def join_year(g: pd.DataFrame) -> pa.Table:
         o, l = g[g["side"] == 0], g[g["side"] == 1]
         if len(o) == 0 or len(l) == 0:
-            return pd.DataFrame({"o_year": pd.Series(dtype="int64"),
-                                 "nat": pd.Series(dtype=str),
-                                 "c4": pd.Series(dtype="int64")})
+            return shares.empty_table()
         m = l[["key", "nat", "c4"]].merge(o[["key", "year"]], on="key")
         agg = m.groupby(["year", "nat"], sort=False, as_index=False)["c4"].sum()
-        return agg.rename(columns={"year": "o_year"})
+        return _arrow(agg.rename(columns={"year": "o_year"}), shares)
 
     part_keys = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
         p_part, batch_format="pandas")
@@ -4959,8 +4860,10 @@ def q19_disjunctive_revenue(sf_dir: str):
     qty_lo = min(b[3] for b in _Q19_BRANCHES)
     qty_hi = max(b[4] for b in _Q19_BRANCHES)
     brands = {b[0] for b in _Q19_BRANCHES}
+    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("brand", pa.string()),
+                       ("size", pa.int64()), ("qty", pa.int64()), ("c4", pa.int64())])
 
-    def p_part(df: pd.DataFrame) -> pd.DataFrame:
+    def p_part(df: pd.DataFrame) -> pa.Table:
         sz = df["p_size"].to_numpy(dtype=np.int64)
         keep = np.zeros(len(df), dtype=bool)
         br = df["p_brand"].to_numpy()
@@ -4968,20 +4871,21 @@ def q19_disjunctive_revenue(sf_dir: str):
             keep |= (br == b) & (sz >= slo) & (sz <= shi)
         d = df[keep]
         k = d["p_partkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(0),
-                             "brand": np.asarray(d["p_brand"], dtype=str),
-                             "size": d["p_size"].to_numpy(dtype=np.int64),
-                             "qty": np.int64(0), "c4": np.int64(0)})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
+                                    "brand": np.asarray(d["p_brand"], dtype=str),
+                                    "size": d["p_size"].to_numpy(dtype=np.int64),
+                                    "qty": np.int64(0), "c4": np.int64(0)}), sides)
 
-    def l_part(df: pd.DataFrame) -> pd.DataFrame:
+    def l_part(df: pd.DataFrame) -> pa.Table:
         q = np.floor(df["l_quantity"].to_numpy() + 0.5).astype(np.int64)  # half-away (= SQL round) on positive qty; np.rint is half-even
         m = (q >= qty_lo) & (q <= qty_hi)
         d = df[m]
         k = d["l_partkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(1),
-                             "brand": np.full(len(d), "", dtype="U1"),
-                             "size": np.int64(0), "qty": q[m],
-                             "c4": rev_c4(d["l_extendedprice"], d["l_discount"])})
+        return _arrow(pd.DataFrame({"key": k, "side": np.int8(1),
+                                    "brand": np.full(len(d), "", dtype="U1"),
+                                    "size": np.int64(0), "qty": q[m],
+                                    "c4": rev_c4(d["l_extendedprice"], d["l_discount"])}),
+                      sides)
 
     def branch_sum(g: pd.DataFrame) -> pd.DataFrame:
         p, l = g[g["side"] == 0], g[g["side"] == 1]

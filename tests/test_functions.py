@@ -4,7 +4,18 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from oar_ocr_ray.functions.ann import BruteForceScorer, HyperplaneLsh, topk_reduce
+from oar_ocr_ray.functions.ann import (
+    HyperplaneLsh,
+    TopkScorer,
+    brute_scores,
+    ivf_parity_fit,
+    ivf_scores,
+    lsh_scores,
+    pq_parity_fit,
+    pq_scores,
+    quantized_unit,
+    topk_reduce,
+)
 from oar_ocr_ray.functions.dedup import (
     MinHasher,
     content_hash,
@@ -96,20 +107,47 @@ def test_simhash_batch_quadrants():
         assert (0 <= v).all() and (v < 65536).all()
 
 
-def test_brute_force_topk():
+def _index_fits(m):
+    nv = quantized_unit(m)
+    return {"brute": (brute_scores, {}),
+            "lsh": (lsh_scores, {"nbits": 4, "multiprobe": True}),
+            "ivf": (ivf_scores, {"centroids": ivf_parity_fit(nv, k=4), "nprobe": 2}),
+            "pq": (pq_scores, {"books": pq_parity_fit(nv, m_sub=4, k_codes=8)})}
+
+
+@pytest.mark.parametrize("name", ["brute", "lsh", "ivf", "pq"])
+def test_topk_cut_is_batch_split_invariant(name):
+    """topk_reduce over the partials of a batch split in two equals it over
+    the unsplit batch, also when two rounded-equal scores straddle the k
+    boundary: a twin pair (vec_ids 900 in the first half, 3 in the second)
+    whose lower id must survive the cut either way, though 900's raw
+    (unrounded) score is the higher."""
     rng = np.random.default_rng(0)
-    m = rng.standard_normal((50, 8))
-    df = pd.DataFrame({"vec_id": np.arange(50), "embedding": list(m)})
-    q = {"ids": np.array([0, 1]), "matrix": m[:2]}
-    scorer = BruteForceScorer(q, k=5)
-    part = scorer(df)
-    top = topk_reduce(part, 5)
-    # self-similarity must rank first with score 1.0
-    for qid in (0, 1):
-        rows = top[top["query_id"] == qid]
-        assert len(rows) == 5
-        assert rows.iloc[0]["vec_id"] == qid
-        assert rows.iloc[0]["score"] == pytest.approx(1.0)
+    m = rng.standard_normal((60, 64))
+    m[45] = m[0] + 0.5 * rng.standard_normal(64)
+    m[10] = m[45] + 1e-7 * m[0]
+    vec_ids = rng.permutation(np.arange(10, 890))[:60]  # neither 3 nor 900
+    vec_ids[10], vec_ids[45] = 900, 3
+    df = pd.DataFrame({"vec_id": vec_ids, "embedding": list(m)})
+    index, fit = _index_fits(m)[name]
+    queries = {"ids": vec_ids[:2], "matrix": m[:2], "index": index}
+
+    ranked = topk_reduce(TopkScorer(**queries, k=60, **fit)(df), 60)
+    r0 = ranked[ranked["query_id"] == vec_ids[0]].reset_index(drop=True)
+    twin = r0.loc[r0["vec_id"] == 3, "score"].iloc[0]
+    k = int((r0["score"] > twin).sum()) + 1
+    assert r0.loc[k, "score"] == twin  # a rounded tie straddles the cut
+
+    scorer = TopkScorer(**queries, k=k, **fit)
+    whole = topk_reduce(scorer(df), k)
+    split = topk_reduce(pd.concat([scorer(df.iloc[:30]), scorer(df.iloc[30:])]), k)
+    pd.testing.assert_frame_equal(whole, split)
+    kept = whole.loc[whole["query_id"] == vec_ids[0], "vec_id"]
+    assert 3 in kept.to_numpy() and 900 not in kept.to_numpy()
+    if name == "brute":  # self-similarity ranks first with score 1.0
+        for qid in vec_ids[:2]:
+            first = whole[whole["query_id"] == qid].iloc[0]
+            assert first["vec_id"] == qid and first["score"] == pytest.approx(1.0)
 
 
 def test_lsh_buckets_deterministic():

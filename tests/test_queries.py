@@ -91,6 +91,8 @@ def oracle_pairs():
     "fingerprints", "simhash_buckets", "simhash_dup_pairs", "minhash_bands",
     "ann_lsh_topk", "ann_ivf_topk", "embedding_clusters", "embedding_near_dup_lsh",
     "dsir_importance_weights", "classifier_filter_scores",
+    "ann_pq_topk", "ann_lsh_multiprobe_topk", "ann_recall_eval", "ann_recall_ivf",
+    "ann_recall_pq", "ann_recall_multiprobe",
 ])
 def test_query_matches_oracle(ray_session, duck, name):
     from oar_ocr_ray.queries import ORACLE_SQL, QUERIES
@@ -134,6 +136,26 @@ def test_unimax_allocation_waterfill_invariants(ray_session):
         # capped sources' caps are all below the waterline
         assert (cap[~uncapped] <= w[0] + 1e-9).all()
     np.testing.assert_allclose(out["sample_rate"].to_numpy(), alloc / n)
+
+
+def test_lowest_vec_ids_cuts_off_a_shuffled_table(tmp_path):
+    """Fewer rows than the table holds, vec_ids shuffled across row groups:
+    exactly the n lowest ids come back, in order, with their vectors."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from oar_ocr_ray.queries import _lowest_vec_ids
+
+    rng = np.random.default_rng(7)
+    ids = rng.permutation(np.arange(100, 400, 3))  # 100 ids, not contiguous
+    vecs = rng.standard_normal((len(ids), 8)).astype(np.float32)
+    pq.write_table(pa.table({"vec_id": ids, "embedding": list(vecs)}),
+                   tmp_path / "embeddings.parquet", row_group_size=16)
+
+    got = _lowest_vec_ids(str(tmp_path), 10)
+    lowest = np.argsort(ids)[:10]
+    assert got["vec_id"].tolist() == ids[lowest].tolist()
+    np.testing.assert_array_equal(np.stack(got["embedding"].to_numpy()), vecs[lowest])
 
 
 @pytest.mark.parametrize("name", [
