@@ -20,7 +20,6 @@ All per-batch math is numpy; shuffles are groupbys on small key columns.
 from __future__ import annotations
 
 import hashlib
-import struct
 import zlib
 
 import numpy as np
@@ -29,22 +28,19 @@ import pandas as pd
 _MERSENNE = (1 << 61) - 1
 
 
-def md5_lower64(s: str) -> int:
-    """Lower 64 bits of md5 exactly as DuckDB's ``md5_number_lower``
-    computes them (little-endian of digest bytes 8..16) — the oracle-parity
-    feature hash: every query whose semantics depend on hash VALUES (simhash
-    signatures, minhash permutations, fingerprints) uses this so a DuckDB
-    oracle can reproduce the numbers bit-for-bit."""
-    return struct.unpack("<Q", hashlib.md5(s.encode()).digest()[8:16])[0]
-
-
 def md5_lower64_batch(strs) -> np.ndarray:
-    """``md5_lower64`` over a sequence of strings, returned as a uint64
-    array. The md5 itself is necessarily one C call per string (hashlib),
+    """Lower 64 bits of each string's md5, as a uint64 array, exactly as
+    DuckDB's ``md5_number_lower`` computes them (little-endian of digest
+    bytes 8..16) — the oracle-parity feature hash: every query whose
+    semantics depend on hash VALUES (simhash signatures, minhash
+    permutations, fingerprints, md5 buckets) uses this so a DuckDB oracle
+    can reproduce the numbers bit-for-bit.
+
+    The md5 itself is necessarily one C call per string (hashlib),
     but everything around it is batched: digests concatenate into ONE
     buffer and the bytes-8..16 little-endian decode is a single
-    ``np.frombuffer`` view (the per-item struct.unpack + int boxing of the
-    scalar path is the dominant Python overhead in hash-heavy stages).
+    ``np.frombuffer`` view (a per-item struct.unpack + int boxing would be
+    the dominant Python overhead in hash-heavy stages).
     Callers with repeated inputs should ``pd.factorize`` first so each
     DISTINCT string hashes once."""
     md5 = hashlib.md5
@@ -54,6 +50,17 @@ def md5_lower64_batch(strs) -> np.ndarray:
     # each digest is 16 bytes = two little-endian u64 words; lower-64 of
     # the md5 NUMBER (big-endian 128-bit) is bytes 8..16 = the odd words
     return np.frombuffer(buf, dtype="<u8")[1::2]
+
+
+def md5_buckets(values, n: int) -> np.ndarray:
+    """Each value's md5 bucket, the md5 lower 64 bits of str(value) mod n,
+    as int64, hashed once per DISTINCT value (``pd.factorize``; a missing
+    value hashes as its str, e.g. "None"). The one stable hash bucket of
+    the query library: hash() varies by process and pd.util.hash_array by
+    pandas version."""
+    codes, uniq = pd.factorize(values, use_na_sentinel=False)
+    return (md5_lower64_batch(str(u) for u in uniq)
+            % np.uint64(n)).astype(np.int64)[codes]
 
 
 def _norm_text(s: pd.Series) -> pd.Series:
@@ -83,7 +90,7 @@ def shingle_set(text: str, n: int = 3) -> np.ndarray:
 
 
 def shingle_hashes_md5(text: str, n: int = 3) -> np.ndarray:
-    """Distinct word n-gram shingles hashed by md5_lower64 (uint64).
+    """Distinct word n-gram shingles hashed by md5_lower64_batch (uint64).
 
     Same gram convention as ``shingle_set`` (whole text as one gram below n
     words, empty -> none), but DuckDB-reproducible: unnest + list_transform
@@ -130,15 +137,12 @@ class MinHasher:
         return v.min(axis=1).astype(np.int64)
 
     def band_hashes(self, sig: np.ndarray) -> np.ndarray:
-        """Collapse each band to one int64 bucket key: md5_lower64 of the
-        comma-joined decimal band values (>>1 to stay in int64), which
+        """Collapse each band to one int64 bucket key: the md5 lower 64 bits
+        of the comma-joined decimal band values (>>1 to stay in int64), which
         DuckDB reproduces via md5_number_lower(array_to_string(...))."""
-        out = np.empty(self.bands, dtype=np.int64)
-        for i in range(self.bands):
-            band = sig[i * self.rows:(i + 1) * self.rows]
-            key = ",".join(str(int(v)) for v in band)
-            out[i] = md5_lower64(key) >> 1
-        return out
+        keys = (",".join(str(int(v)) for v in sig[i * self.rows:(i + 1) * self.rows])
+                for i in range(self.bands))
+        return (md5_lower64_batch(keys) >> np.uint64(1)).astype(np.int64)
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         """map_batches: emit one row per (doc, band) — the LSH explode."""
@@ -163,7 +167,7 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def simhash64(text: str, ngram: int = 3) -> int:
-    """64-bit simhash over distinct word n-gram md5_lower64 features —
+    """64-bit simhash over distinct word n-gram md5 lower-64 features —
     DuckDB-reproducible (SIMHASH_BUCKETS_SQL computes the same bit votes
     from md5_number_lower of the same grams)."""
     x = shingle_hashes_md5(text, ngram)

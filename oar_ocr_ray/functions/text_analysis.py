@@ -5,6 +5,12 @@ All of these run as vectorized `map_batches` transforms over the flat
 (compiled regexes, stopword tables) are callable classes = actor pools.
 The token split / quality definitions are written to be exactly expressible
 in ANSI SQL so each has a DuckDB oracle (see oar_ocr_ray.queries).
+
+`word_ngrams` is the one word tokenizer of the text-curation queries and
+of `LangId`: lowercase, split on whitespace, explode to (row, pos, gram).
+Three definitions stay apart because their oracles pin them:
+`token_count` (regex `\\s+` split), `repetition_score` (split on " ") and
+the Gopher cascade in queries.py (no lowercasing).
 """
 
 from __future__ import annotations
@@ -24,6 +30,30 @@ LANG_PROFILES = {
     "fr": {"le", "la", "les", "et", "de", "des", "un", "une", "est", "que", "pour", "dans"},
     "es": {"el", "la", "los", "las", "y", "de", "que", "un", "una", "es", "por", "con"},
 }
+
+
+def word_ngrams(text: pd.Series, n: int) -> pd.DataFrame:
+    """(row, pos, gram) for every word n-gram of each text: words are
+    `text.lower().split()` (a missing text has none), the SQL oracles'
+    regexp_split_to_array(lower(trim(text)), '\\s+') with empty tokens
+    dropped. `row` is the text's position in `text`, `pos` the 1-based
+    index of the gram's first word (= the oracles' renumbered row_number).
+    One shifted concat over the batch's flat word array, no per-row
+    Python; a window is kept only when its last word is in the same text."""
+    toks = text.fillna("").str.lower().str.split()
+    lens = toks.str.len().to_numpy(dtype=np.int64)
+    total = int(lens.sum())
+    words = toks.explode().dropna().to_numpy(dtype=object)
+    row = np.repeat(np.arange(len(lens)), lens)
+    pos = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens) + 1
+    m = max(total - n + 1, 0)
+    grams = words[:m]
+    for i in range(1, n):
+        grams = grams + " " + words[i:m + i]
+    valid = row[:m] == row[n - 1:n - 1 + m]
+    return pd.DataFrame({"row": row[:m][valid], "pos": pos[:m][valid],
+                         "gram": grams[valid]})
+
 
 def token_count(df: pd.DataFrame, col: str = "text") -> pd.DataFrame:
     """Whitespace token count; '' counts 0. SQL-oracle-compatible:
@@ -66,7 +96,7 @@ class LangId:
     its stopword set; 'und' (unknown) when the best score is below
     min_score. Deterministic; ties broken by language-code order.
 
-    Fully vectorized: one explode of the token lists, one isin() per
+    Fully vectorized: one `word_ngrams(text, 1)` explode, one isin() per
     language, scatter-add into a (rows x langs) count matrix — no per-row
     Python. SQL-oracle-parity: counts/len(tokens) with first-max tie order
     de < en < es < fr, threshold on the unrounded best score.
@@ -79,13 +109,12 @@ class LangId:
         self.codes = np.array([c for c, _ in self.profiles], dtype=object)
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        toks = df["text"].fillna("").str.lower().str.split()
-        n = toks.str.len().to_numpy(dtype=np.int64)
-        flat = toks.explode().dropna()
-        pos = np.repeat(np.arange(len(df)), n)
+        words = word_ngrams(df["text"], 1)
+        pos = words["row"].to_numpy()
+        n = np.bincount(pos, minlength=len(df))
         counts = np.zeros((len(df), len(self.profiles)), dtype=np.int64)
         for k, (_, sw) in enumerate(self.profiles):
-            np.add.at(counts[:, k], pos, flat.isin(sw).to_numpy())
+            np.add.at(counts[:, k], pos, words["gram"].isin(sw).to_numpy())
         scores = counts / np.maximum(n, 1)[:, None]
         best_idx = scores.argmax(axis=1)  # first max = language-code order
         best = scores[np.arange(len(df)), best_idx]
@@ -98,8 +127,8 @@ class LangId:
 
 
 def fingerprint(df: pd.DataFrame, col: str = "text", window: int = 8) -> pd.DataFrame:
-    """Document fingerprint: md5_lower64 of the full whitespace-normalized
-    text plus a winnowing-style min over rolling `window`-char md5 hashes
+    """Document fingerprint: md5 lower 64 bits of the full
+    whitespace-normalized text plus a winnowing-style min over rolling `window`-char md5 hashes
     (whole string when shorter) — a cheap content fingerprint for near-dup
     candidate grouping, exactly reproducible by the DuckDB oracle
     (FINGERPRINTS_SQL: md5_number_lower(substr(txt, i, window))).

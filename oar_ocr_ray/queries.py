@@ -47,6 +47,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .functions.text_analysis import word_ngrams
 from .numeric import round_half_away
 
 
@@ -104,6 +105,13 @@ def _agg_value(agg: dict | None, name: str) -> int | float:
     return (agg or {}).get(name) or 0
 
 
+def _collect_where(ds, expr: str, columns: list[str]) -> pd.DataFrame:
+    """The rows of `ds` that pass the filter `expr`, collected to the
+    driver with `columns` even when none pass: Ray collects an empty
+    Dataset as a frame with no columns at all."""
+    return ds.filter(expr=expr).to_pandas().reindex(columns=columns)
+
+
 def _arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
     """A pandas UDF's output as an Arrow table of `schema`. Ray cannot size
     a zero-row pandas block with string columns (it logs an error for
@@ -133,22 +141,16 @@ def _partition_ids(batch, key, n_parts: int) -> np.ndarray:
     """Each row's coarse partition in [0, n_parts): a stable hash of the
     `key` column(s) of `batch` (a DataFrame or an Arrow table). An integer
     or datetime column gives value mod n_parts, never negative. A string
-    column gives md5(value) mod n_parts, hashed once per distinct value of
-    the batch (md5 because hash() varies by process and
-    pd.util.hash_array by pandas version, either of which would split a
-    key across partitions). Several columns fold into one id:
-    (id * _KEY_MIX + column id) mod n_parts."""
-    from .functions.dedup import md5_lower64_batch
+    column gives its `md5_buckets` (a hash that varied by process or
+    pandas version would split a key across partitions). Several columns
+    fold into one id: (id * _KEY_MIX + column id) mod n_parts."""
+    from .functions.dedup import md5_buckets
 
     pid = np.zeros(len(batch), dtype=np.int64)
     for col in [key] if isinstance(key, str) else key:
         v = batch[col].to_numpy()
-        if v.dtype.kind in "iuM":
-            cid = np.mod(v.astype(np.int64), n_parts)
-        else:
-            codes, uniq = pd.factorize(v, use_na_sentinel=False)
-            cid = (md5_lower64_batch(str(u) for u in uniq)
-                   % np.uint64(n_parts)).astype(np.int64)[codes]
+        cid = (np.mod(v.astype(np.int64), n_parts) if v.dtype.kind in "iuM"
+               else md5_buckets(v, n_parts))
         pid = np.mod(pid * _KEY_MIX + cid, n_parts)
     return pid
 
@@ -1104,17 +1106,10 @@ def word_topk(sf_dir: str):
     groupby(word) sum -> driver-side top-k (tiny)."""
     from ray.data.aggregate import Sum
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].fillna("").str.lower().str.strip().str.split()
-        vc = words.explode().dropna().value_counts()
-        return pd.DataFrame({"word": vc.index, "n": vc.to_numpy()})
-
     ds = _read(sf_dir, "documents", ["text"])
-    agg = ds.map_batches(partial, batch_format="pandas").groupby("word").aggregate(
-        Sum("n", alias_name="n")
-    )
-    nonempty = agg.map_batches(lambda df: df[df["word"] != ""], batch_format="pandas")
-    top = _topk_blocks(nonempty, 20, ["n", "word"], [False, True])
+    agg = (ds.map_batches(_gram_counts(1, "word"), batch_format="pandas")
+           .groupby("word").aggregate(Sum("n", alias_name="n")))
+    top = _topk_blocks(agg, 20, ["n", "word"], [False, True])
     top["n"] = top["n"].astype("int64")
     return top
 
@@ -1133,15 +1128,12 @@ def train_test_split(sf_dir: str):
     training-data assignment at corpus scale — a pure map over doc_id
     (md5-bucket mod 100), no shuffle, no state, stable under resharding
     and across runs. Oracle-parity via md5_number_lower."""
-    from .functions.dedup import md5_lower64
+    from .functions.dedup import md5_buckets
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         # hash the decimal rendering: doc_id is int64, DuckDB side casts
         # to VARCHAR the same way
-        b = np.fromiter(
-            (md5_lower64(str(x)) % 100 for x in df["doc_id"]),
-            dtype=np.int64, count=len(df),
-        )
+        b = md5_buckets(df["doc_id"], 100)
         split = np.where(b < 80, "train", np.where(b < 90, "val", "test"))
         return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "split": split})
 
@@ -2501,33 +2493,27 @@ EMB_CLUSTERS_SQL = _ivf_sql(
 # Training-data curation: scrubbing, TF-IDF, decontamination, source mixing
 # ---------------------------------------------------------------------------
 
-def _tokens(s: pd.Series) -> pd.Series:
-    """The shared whitespace tokenizer: lower + strip + split. Must stay in
-    lockstep with the SQL oracles' regexp_split_to_array(lower(trim(text)),
-    '\\s+') + word <> '' filter — Python split() drops empty tokens, so
-    every SQL consumer filters/renumbers empties the same way."""
-    return s.fillna("").str.lower().str.strip().str.split()
+def _doc_sums(row, n_docs: int, values=None) -> np.ndarray:
+    """Per-document count (values=None) or exact int64 sum of `values` over
+    the `row` positions that `word_ngrams` reports, 0 for a document with
+    none: the one per-document sum of the token scorers."""
+    if values is None:
+        return np.bincount(row, minlength=n_docs)
+    out = np.zeros(n_docs, dtype=np.int64)
+    np.add.at(out, row, np.asarray(values, dtype=np.int64))
+    return out
 
 
-def _word_ngrams(text: pd.Series, n: int) -> pd.DataFrame:
-    """(row, pos, gram) for every word n-gram of each text's `_tokens`:
-    `row` is the text's position in `text`, `pos` the 1-based index of the
-    gram's first token (= the SQL oracles' renumbered row_number). One
-    shifted concat over the batch's flat token array, no per-row Python; a
-    window is kept only when its last token is still in the same text."""
-    toks = _tokens(text)
-    lens = toks.str.len().fillna(0).to_numpy(dtype=np.int64)
-    total = int(lens.sum())
-    words = toks.explode().dropna().to_numpy(dtype=object)
-    row = np.repeat(np.arange(len(lens)), lens)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens) + 1
-    m = max(total - n + 1, 0)
-    grams = words[:m]
-    for i in range(1, n):
-        grams = grams + " " + words[i:m + i]
-    valid = row[:m] == row[n - 1:n - 1 + m]
-    return pd.DataFrame({"row": row[:m][valid], "pos": pos[:m][valid],
-                         "gram": grams[valid]})
+def _gram_counts(n: int, key: str):
+    """A map_batches UDF: one batch's (key, n) counts of its word n-grams,
+    as typed Arrow (a token-free batch gives a typed empty table)."""
+    schema = pa.schema([(key, pa.string()), ("n", pa.int64())])
+
+    def counts(df: pd.DataFrame) -> pa.Table:
+        vc = word_ngrams(df["text"], n)["gram"].value_counts()
+        return _arrow(pd.DataFrame({key: vc.index, "n": vc.to_numpy()}), schema)
+
+    return counts
 
 
 # The PII/entity scrub battery. In production this is the email/phone/SSN
@@ -2600,24 +2586,23 @@ def tfidf_top_terms(sf_dir: str, k: int = TFIDF_K, min_df: int = TFIDF_MIN_DF,
     term ASC on both sides; the SQL dfreq CTE carries the same
     `HAVING df >= min_df` prune."""
     import ray
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
+    dfs = pa.schema([("term", pa.string()), ("df", pa.int64())])
+    scores = pa.schema([("doc_id", pa.int64()), ("term", pa.string()),
+                        ("score", pa.float64())])
 
-    def df_partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "term": _tokens(df["text"])})
-        t = t.explode("term").dropna()
-        t = t[t["term"] != ""].drop_duplicates()
-        vc = t["term"].value_counts()
-        return pd.DataFrame({"term": vc.index, "df": vc.to_numpy()})
+    def df_partial(df: pd.DataFrame) -> pa.Table:
+        g = word_ngrams(df["text"], 1).drop_duplicates(["row", "gram"])
+        vc = g["gram"].value_counts()
+        return _arrow(pd.DataFrame({"term": vc.index, "df": vc.to_numpy()}), dfs)
 
-    dfreq = (
+    # prune BEFORE the collect: only the post-prune head vocabulary lands
+    dfreq = _collect_where(
         _vocab_combine(ds.map_batches(df_partial, batch_format="pandas"),
-                       "term", val="df")
-        .filter(expr=f"df >= {int(min_df)}")  # prune BEFORE the collect
-        .to_pandas()  # post-prune head vocabulary only
-    )
+                       "term", val="df"),
+        f"df >= {int(min_df)}", ["term", "df"])
     if vocab_topk is not None and len(dfreq) > vocab_topk:
         dfreq = dfreq.sort_values(["df", "term"], ascending=[False, True],
                                   kind="stable")
@@ -2629,18 +2614,13 @@ def tfidf_top_terms(sf_dir: str, k: int = TFIDF_K, min_df: int = TFIDF_MIN_DF,
     idf = round_half_away(np.log(n_docs / dfreq["df"].to_numpy(dtype=np.float64)), 6)
     idf_ref = ray.put(dict(zip(dfreq["term"], idf)))
 
-    def score(df: pd.DataFrame) -> pd.DataFrame:
+    def score(df: pd.DataFrame) -> pa.Table:
         import ray as _ray
 
         idf_map = _ray.get(idf_ref)
-        t = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "term": _tokens(df["text"])})
-        t = t.explode("term").dropna()
-        t = t[t["term"] != ""]
-        if len(t) == 0:
-            # typed empty (a 0-row object column trips Ray's size estimator)
-            return pd.DataFrame({"doc_id": np.array([], dtype=np.int64),
-                                 "term": np.array([], dtype="U1"),
-                                 "score": np.array([], dtype=np.float64)})
+        g = word_ngrams(df["text"], 1)
+        t = pd.DataFrame({"doc_id": df["doc_id"].to_numpy()[g["row"].to_numpy()],
+                          "term": g["gram"].to_numpy()})
         tf = t.groupby(["doc_id", "term"], sort=False).size().rename("tf").reset_index()
         idf_col = tf["term"].map(idf_map)
         tf = tf[idf_col.notna()]  # OOV (min_df/topk-pruned) terms drop out
@@ -2651,9 +2631,7 @@ def tfidf_top_terms(sf_dir: str, k: int = TFIDF_K, min_df: int = TFIDF_MIN_DF,
         tf = tf.sort_values(["doc_id", "score", "term"],
                             ascending=[True, False, True], kind="stable")
         top = tf.groupby("doc_id", sort=False).head(k)
-        return pd.DataFrame({"doc_id": top["doc_id"].to_numpy(),
-                             "term": top["term"].to_numpy(),
-                             "score": top["score"].to_numpy()})
+        return _arrow(top, scores)
 
     return ds.map_batches(score, batch_format="pandas")
 
@@ -2695,29 +2673,20 @@ def decontaminate(sf_dir: str):
       pass 1: stream ONLY the holdout docs (pruned read of doc_id+text,
         filtered per batch) -> per-batch distinct n-gram sets -> driver
         union (bounded: the eval suite is tiny by definition) -> ray.put.
-      pass 2: stream the training split; per batch, build each doc's
-        n-gram set vectorized and count distinct hits against the
-        broadcast set. No shuffle; output is one row per training doc.
+      pass 2: stream the training split; per batch, explode every doc's
+        distinct n-grams (`word_ngrams`) and count the hits against the
+        broadcast set per doc. No shuffle; output is one row per training
+        doc.
     """
     import ray
-
-    def grams_of(text_s: pd.Series) -> pd.Series:
-        toks = _tokens(text_s)
-        n = DECONTAM_N
-        return toks.map(
-            lambda w: {" ".join(w[i:i + n]) for i in range(len(w) - n + 1)}
-            if isinstance(w, list) else set()
-        )
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def holdout_grams(df: pd.DataFrame) -> pa.Table:
         ev = df[df["doc_id"] % DECONTAM_MOD == 0]
-        s: set = set()
-        for g in grams_of(ev["text"]):
-            s |= g
+        grams = word_ngrams(ev["text"], DECONTAM_N)["gram"].unique()
         # a string column even when the batch holds no holdout doc
-        return pa.table({"gram": pa.array(sorted(s), pa.string())})
+        return pa.table({"gram": pa.array(grams, pa.string())})
 
     ev_grams = set(
         ds.map_batches(holdout_grams, batch_format="pandas")
@@ -2730,17 +2699,18 @@ def decontaminate(sf_dir: str):
 
         ev = _ray.get(ev_ref)
         train = df[df["doc_id"] % DECONTAM_MOD != 0]
-        hits = grams_of(train["text"]).map(lambda g: len(g & ev))
+        g = word_ngrams(train["text"], DECONTAM_N).drop_duplicates(["row", "gram"])
+        hits = _doc_sums(g["row"].to_numpy()[g["gram"].isin(ev).to_numpy()], len(train))
         return pd.DataFrame({
             "doc_id": train["doc_id"].to_numpy(),
-            "n_hits": hits.to_numpy(dtype=np.int64),
-            "contaminated": (hits > 0).to_numpy(),
+            "n_hits": hits,
+            "contaminated": hits > 0,
         })
 
     return ds.map_batches(check, batch_format="pandas")
 
 
-# Shared positional-tokenizer CTE prefix: the SQL mirror of _tokens() for
+# Shared positional-tokenizer CTE prefix: the SQL mirror of word_ngrams for
 # oracles that need token POSITIONS — splits on \s+, drops empty tokens
 # (text edged by non-space whitespace splits to ''), and RENUMBERS so
 # n-grams match Python split()'s contiguous tokens. Single source so a
@@ -2786,14 +2756,14 @@ def dup_ngram_spans(sf_dir: str, n: int = 3):
     doc-level dedup family this emits the duplicated SPANS, the input to
     span-excision dedup.
 
-    Scale shape: explode (gram, doc_id, pos) in map_batches (`_word_ngrams`),
+    Scale shape: explode (gram, doc_id, pos) in map_batches (`word_ngrams`),
     then ONE coarse exchange on gram (`_exchange`) and a VECTORIZED
     in-partition nunique filter; never one Python call per distinct gram, no driver
     state at all. Positions are 1-based token indices (= the SQL
     renumbered row_number). The registered oracle is the n=3
     instantiation — calling with another n diverges from it."""
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        g = _word_ngrams(df["text"], n)
+        g = word_ngrams(df["text"], n)
         return pd.DataFrame({"doc_id": df["doc_id"].to_numpy()[g["row"].to_numpy()],
                              "pos": g["pos"].to_numpy(), "gram": g["gram"].to_numpy()})
 
@@ -2840,7 +2810,7 @@ def source_temperature_sample(sf_dir: str):
     """
     from ray.data.aggregate import Sum
 
-    from .functions.dedup import md5_lower64
+    from .functions.dedup import md5_buckets
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
@@ -2865,8 +2835,7 @@ def source_temperature_sample(sf_dir: str):
            for src, n in zip(counts["source"], counts["n"])}
 
     def sample(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.fromiter((md5_lower64(str(x)) % 10**6 for x in df["doc_id"]),
-                        dtype=np.int64, count=len(df))
+        h = md5_buckets(df["doc_id"], 10**6)
         t = df["source"].map(thr).to_numpy(dtype=np.int64)
         keep = df[h < t]
         return pd.DataFrame({"doc_id": keep["doc_id"].to_numpy(),
@@ -3041,75 +3010,66 @@ FROM afull f
 """)
 
 
-def unigram_logprob_scores(sf_dir: str, min_count: int = LM_MIN_COUNT,
-                           carry: tuple = ()):
-    """CCNet-style LM quality scoring with a corpus-trained unigram model:
-    per-doc mean token log-probability. Exact-parity trick: log-probs are
-    quantized to INTEGER micro-nats (round(ln(count/total)*1e6)), so the
-    per-doc accumulation is an exact int64 sum on both engines — no float
-    accumulation order anywhere; the single double division at the end is
-    bit-identical.
+def _ngram_logprob_scores(sf_dir: str, n: int, count_col: str,
+                          min_count: int, carry: tuple = ()):
+    """The one n-gram LM scorer behind unigram_logprob_scores (n=1) and
+    bigram_logprob_scores (n=2): per-doc mean JOINT n-gram log-probability
+    under an n-gram model trained on the corpus. Exact-parity trick:
+    log-probs are quantized to INTEGER micro-nats
+    (round(ln(count/total)*1e6)), so the per-doc accumulation is an exact
+    int64 sum on both engines — no float accumulation order anywhere; the
+    single double division at the end is bit-identical.
 
-    Pass 1: per-batch token-count partials -> vocab-sized groupby; the
-    token TOTAL is a distributed scalar aggregate and the min_count prune
+    Pass 1: per-batch n-gram count partials -> vocab-sized exchange; the
+    n-gram TOTAL is a distributed scalar aggregate and the min_count prune
     is applied IN the dataset, so the unpruned corpus-sized vocabulary
     never lands on the driver — only the post-prune head is collected and
-    broadcast as {word: lpm}. Pruned (OOV) words score the exact count-1
-    floor lpm_oov = round(ln(1/total)*1e6), mirrored by the oracle's
+    broadcast as {gram: lpm}. Pruned (OOV) grams score the exact count-1
+    floor lpm_oov = round(ln(1/total)*1e6), mirrored by the oracles'
     LEFT JOIN + COALESCE.
-    Pass 2: vectorized per-doc tf x lpm dot — no shuffle."""
+    Pass 2: vectorized per-doc sums over the `word_ngrams` rows — no
+    shuffle; a doc with no n-gram scores (0, mean 0.0)."""
     import ray
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", *carry])
-
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = _tokens(df["text"]).explode().dropna()
-        vc = vc[vc != ""].value_counts()
-        return pd.DataFrame({"word": vc.index, "n": vc.to_numpy()})
-
     vocab_ds = _vocab_combine(
-        ds.map_batches(count_partial, batch_format="pandas"), "word"
+        ds.map_batches(_gram_counts(n, "gram"), batch_format="pandas"), "gram"
     ).materialize()  # post-combine = vocab-sized; one token sweep
     total = int(vocab_ds.sum("n") or 0)  # distributed scalar; no collect
-    vocab = vocab_ds.filter(expr=f"n >= {int(min_count)}").to_pandas()
+    vocab = _collect_where(vocab_ds, f"n >= {int(min_count)}", ["gram", "n"])
     if total > 0:
         lpm = round_half_away(
             np.log(vocab["n"].to_numpy(dtype=np.float64) / total) * 1e6, 0
         ).astype(np.int64)
         lpm_oov = int(round_half_away(np.log(1.0 / total) * 1e6, 0))
-    else:  # token-free corpus: every doc scores (0 tokens, mean 0.0)
+    else:  # no n-gram in the corpus: every doc scores (0, mean 0.0)
         lpm, lpm_oov = np.array([], dtype=np.int64), 0
-    lpm_ref = ray.put((dict(zip(vocab["word"], lpm)), lpm_oov))
+    lpm_ref = ray.put((dict(zip(vocab["gram"], lpm)), lpm_oov))
 
-    def score(df: pd.DataFrame) -> pd.DataFrame:
+    def score(t: pa.Table) -> pa.Table:
         import ray as _ray
 
         lpm_map, oov = _ray.get(lpm_ref)
-        t = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "word": _tokens(df["text"])})
-        t = t.explode("word").dropna()
-        t = t[t["word"] != ""]
-        if len(t):
-            t["lpm"] = t["word"].map(lpm_map).fillna(oov).astype("int64")
-            agg = t.groupby("doc_id", sort=False).agg(
-                n_tokens=("word", "size"), total_lpm=("lpm", "sum"))
-        else:
-            agg = pd.DataFrame(columns=["n_tokens", "total_lpm"])
-        out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy()}).join(
-            agg, on="doc_id")
-        n_tok = out["n_tokens"].fillna(0).to_numpy(dtype=np.int64)
-        tot = out["total_lpm"].fillna(0).to_numpy(dtype=np.int64)
+        g = word_ngrams(t["text"].to_pandas(), n)
+        row = g["row"].to_numpy()
+        cnt = _doc_sums(row, len(t))
+        tot = _doc_sums(row, len(t), g["gram"].map(lpm_map).fillna(oov))
         with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(n_tok > 0,
-                            round_half_away(tot / (n_tok * 1e6), 6), 0.0)
-        res = {"doc_id": out["doc_id"].to_numpy(),
-               "n_tokens": n_tok,
-               "mean_logprob": mean}
-        for c in carry:  # passthrough columns (e.g. source for bucketing)
-            res[c] = df[c].to_numpy()
-        return pd.DataFrame(res)
+            mean = np.where(cnt > 0, round_half_away(tot / (cnt * 1e6), 6), 0.0)
+        # carried columns (e.g. source for bucketing) pass through as read
+        return pa.table({"doc_id": t["doc_id"], count_col: cnt, "mean_logprob": mean,
+                         **{c: t[c] for c in carry}})
 
-    return ds.map_batches(score, batch_format="pandas")
+    return ds.map_batches(score, batch_format="pyarrow")
+
+
+def unigram_logprob_scores(sf_dir: str, min_count: int = LM_MIN_COUNT,
+                           carry: tuple = ()):
+    """CCNet-style LM quality scoring with a corpus-trained unigram model:
+    per-doc (n_tokens, mean token log-probability) in exact integer
+    micro-nats (`_ngram_logprob_scores` at n=1). `carry` names document
+    columns passed through to the output."""
+    return _ngram_logprob_scores(sf_dir, 1, "n_tokens", min_count, carry)
 
 
 UNIGRAM_LOGPROB_SQL = rf"""
@@ -3205,11 +3165,12 @@ def dsir_importance_weights(sf_dir: str, n_buckets: int = DSIR_BUCKETS,
     "high-quality corpus") vs the RAW corpus. Docs scoring high are the
     ones importance resampling keeps.
 
-    Tokens hash into n_buckets features (md5_lower64 % n_buckets — the
-    cross-version-stable hash used everywhere here, = DuckDB
-    md5_number_lower); bucket log-likelihood ratios are Laplace-smoothed
-    and quantized to INTEGER micro-nats, so the per-doc accumulation is
-    an exact int64 sum on both engines (the unigram_logprob trick).
+    Tokens hash into n_buckets features (`md5_buckets`: md5 lower 64 bits
+    % n_buckets — the cross-version-stable hash used everywhere here, =
+    DuckDB md5_number_lower); bucket log-likelihood ratios are
+    Laplace-smoothed and quantized to INTEGER micro-nats, so the per-doc
+    accumulation is an exact int64 sum on both engines (the unigram_logprob
+    trick).
 
     Scale shape: pass 1 is per-batch (bucket, raw, target) count partials
     -> ONE bounded exchange of <= n_buckets keys -> an n_buckets-row
@@ -3220,27 +3181,16 @@ def dsir_importance_weights(sf_dir: str, n_buckets: int = DSIR_BUCKETS,
     import ray
     from ray.data.aggregate import Sum
 
-    from .functions.dedup import md5_lower64_batch
+    from .functions.dedup import md5_buckets
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
-    def _bucketize(words: pd.Series) -> np.ndarray:
-        codes, uniq = pd.factorize(words)
-        hv = (md5_lower64_batch(uniq) % np.uint64(n_buckets)).astype(np.int64)
-        return hv[codes]
-
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = pd.DataFrame({"is_t": (df["lang"] == target_lang).to_numpy(),
-                          "word": _tokens(df["text"])})
-        t = t.explode("word").dropna()
-        t = t[t["word"] != ""]
-        if not len(t):
-            return pd.DataFrame({"b": np.array([], np.int64),
-                                 "raw": np.array([], np.int64),
-                                 "tgt": np.array([], np.int64)})
-        b = _bucketize(t["word"])
+        g = word_ngrams(df["text"], 1)
+        b = md5_buckets(g["gram"], n_buckets)
+        is_t = (df["lang"] == target_lang).to_numpy()[g["row"].to_numpy()]
         raw = np.bincount(b, minlength=n_buckets)
-        tgt = np.bincount(b[t["is_t"].to_numpy()], minlength=n_buckets)
+        tgt = np.bincount(b[is_t], minlength=n_buckets)
         nz = raw > 0
         return pd.DataFrame({"b": np.arange(n_buckets)[nz],
                              "raw": raw[nz], "tgt": tgt[nz]})
@@ -3265,23 +3215,12 @@ def dsir_importance_weights(sf_dir: str, n_buckets: int = DSIR_BUCKETS,
         import ray as _ray
 
         llr_arr = _ray.get(llr_ref)
-        t = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
-                          "word": _tokens(df["text"])})
-        t = t.explode("word").dropna()
-        t = t[t["word"] != ""]
-        if len(t):
-            t["lpm"] = llr_arr[_bucketize(t["word"])]
-            agg = t.groupby("doc_id", sort=False).agg(
-                n_tokens=("word", "size"), total=("lpm", "sum"))
-        else:
-            agg = pd.DataFrame(columns=["n_tokens", "total"])
-        out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy()}).join(
-            agg, on="doc_id")
-        n_tok = out["n_tokens"].fillna(0).to_numpy(np.int64)
-        tot = out["total"].fillna(0).to_numpy(np.int64)
+        g = word_ngrams(df["text"], 1)
+        row = g["row"].to_numpy()
+        tot = _doc_sums(row, len(df), llr_arr[md5_buckets(g["gram"], n_buckets)])
         return pd.DataFrame({
-            "doc_id": out["doc_id"].to_numpy(),
-            "n_tokens": n_tok,
+            "doc_id": df["doc_id"].to_numpy(),
+            "n_tokens": _doc_sums(row, len(df)),
             "log_weight": round_half_away(tot / 1e6, 6),
         })
 
@@ -3336,44 +3275,23 @@ def classifier_filter_scores(sf_dir: str, n_buckets: int = CLS_BUCKETS):
 
     Scale shape: no fit pass at all — the weight table is O(n_buckets)
     and computed locally per actor (cheaper than shipping at this size);
-    scoring is one shuffle-free vectorized map: explode tokens, build
-    adjacent bigrams with a shift-compare (no Python per row), hash via
-    the cross-version-stable md5_lower64, np.take the weights, int64
-    groupby-sum. Accumulation is exact integer; the one sigmoid double
+    scoring is one shuffle-free vectorized map: unigrams and adjacent
+    bigrams from `word_ngrams` (no Python per row), hash via the
+    cross-version-stable `md5_buckets`, np.take the weights, exact int64
+    per-doc sums. Accumulation is exact integer; the one sigmoid double
     per doc is bit-identical to the oracle's."""
-    from .functions.dedup import md5_lower64_batch
+    from .functions.dedup import md5_buckets, md5_lower64_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     wgt = (md5_lower64_batch([f"w:{b}" for b in range(n_buckets)])
            % np.uint64(2001)).astype(np.int64) - 1000
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        t = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
-                          "f": _tokens(df["text"])})
-        t = t.explode("f").dropna()
-        t = t[t["f"] != ""].reset_index(drop=True)
-        if len(t):
-            # adjacent bigrams: explode preserves per-doc order, so a row
-            # pairs with its successor iff both belong to the same doc
-            nxt = t["f"].shift(-1)
-            same = t["doc_id"].to_numpy()[:-1] == t["doc_id"].to_numpy()[1:]
-            bi = pd.DataFrame({
-                "doc_id": t["doc_id"].to_numpy()[:-1][same],
-                "f": (t["f"].to_numpy()[:-1][same]
-                      + " " + nxt.to_numpy()[:-1][same]),
-            })
-            feats = pd.concat([t, bi], ignore_index=True)
-            codes, uniq = pd.factorize(feats["f"])
-            hv = (md5_lower64_batch(uniq) % np.uint64(n_buckets)).astype(np.int64)
-            feats["wv"] = wgt[hv[codes]]
-            agg = feats.groupby("doc_id", sort=False).agg(
-                n_feats=("f", "size"), total=("wv", "sum"))
-        else:
-            agg = pd.DataFrame(columns=["n_feats", "total"])
-        out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy()}).join(
-            agg, on="doc_id")
-        n_f = out["n_feats"].fillna(0).to_numpy(np.int64)
-        tot = out["total"].fillna(0).to_numpy(np.int64)
+        feats = pd.concat([word_ngrams(df["text"], 1), word_ngrams(df["text"], 2)],
+                          ignore_index=True)
+        row = feats["row"].to_numpy()
+        n_f = _doc_sums(row, len(df))
+        tot = _doc_sums(row, len(df), wgt[md5_buckets(feats["gram"], n_buckets)])
         with np.errstate(over="ignore"):
             prob = np.where(
                 n_f > 0,
@@ -3382,7 +3300,7 @@ def classifier_filter_scores(sf_dir: str, n_buckets: int = CLS_BUCKETS):
                 ),
                 0.5,
             )
-        return pd.DataFrame({"doc_id": out["doc_id"].to_numpy(),
+        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
                              "n_feats": n_f,
                              "prob": prob,
                              "keep": prob >= 0.5})
@@ -3469,31 +3387,27 @@ def top_quartile_docs_per_source(sf_dir: str):
         cut[source] = c_star
         tie_need[source] = k - above
 
-    def tie_partial(df: pd.DataFrame) -> pd.DataFrame:
-        at = df[df["n_chars"] == df["source"].map(cut)]
-        out = []
-        for source, g in at.groupby("source", sort=False):
-            need = tie_need[source]
-            out.append(g.nsmallest(need, "doc_id")[["doc_id", "source"]])
-        # empty slice keeps the original column dtypes (object-dtype empties
-        # trip Ray's block-size estimator into log noise)
-        return pd.concat(out) if out else at.iloc[0:0][["doc_id", "source"]]
+    ties = pa.schema([("doc_id", pa.int64()), ("source", pa.string())])
+    kept = ties.append(pa.field("n_chars", pa.int64()))
 
-    ties = ds.map_batches(tie_partial, batch_format="pandas").to_pandas()
+    def tie_partial(df: pd.DataFrame) -> pa.Table:
+        at = df[df["n_chars"] == df["source"].map(cut)]
+        out = [g.nsmallest(tie_need[source], "doc_id")
+               for source, g in at.groupby("source", sort=False)]
+        return _arrow(pd.concat(out) if out else at, ties)
+
+    tied = ds.map_batches(tie_partial, batch_format="pandas").to_pandas()
     keep_ids: set = set()
-    for source, g in ties.groupby("source", sort=False):
+    for source, g in tied.groupby("source", sort=False):
         keep_ids |= set(g.nsmallest(tie_need[source], "doc_id")["doc_id"])
     keep_ref = ray.put(keep_ids)
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
+    def final(df: pd.DataFrame) -> pa.Table:
         import ray as _ray
 
         keep = _ray.get(keep_ref)
-        sel = df[(df["n_chars"] > df["source"].map(cut))
-                 | df["doc_id"].isin(keep)]
-        return pd.DataFrame({"doc_id": sel["doc_id"].to_numpy(),
-                             "source": sel["source"].to_numpy(),
-                             "n_chars": sel["n_chars"].to_numpy()})
+        return _arrow(df[(df["n_chars"] > df["source"].map(cut))
+                         | df["doc_id"].isin(keep)], kept)
 
     return ds.map_batches(final, batch_format="pandas")
 
@@ -3534,9 +3448,8 @@ def hll_distinct_tokens(sf_dir: str):
     suffix_bits = 64 - b
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        toks = _tokens(df["text"]).explode().dropna()
-        toks = toks[toks != ""]
-        uniq = pd.unique(toks)  # distinct within batch: registers are maxima
+        # distinct within batch: registers are maxima
+        uniq = word_ngrams(df["text"], 1)["gram"].unique()
         hv = md5_lower64_batch(uniq)
         bucket = (hv >> np.uint64(suffix_bits)).astype(np.int64)
         suffix = (hv & np.uint64((1 << suffix_bits) - 1)).astype(np.int64)
@@ -3695,13 +3608,12 @@ def global_shuffle_rank(sf_dir: str, n_shards: int = 16, n_buckets: int = 256):
     exclusive prefix offsets); pass 2 is one keyed shuffle, an in-bucket
     vectorized argsort, and rank = bucket offset + local index. Ties
     (64-bit hash collisions) break by doc_id on both sides."""
-    from .functions.dedup import md5_lower64
+    from .functions.dedup import md5_lower64_batch
 
     shift = np.uint64(64 - int(np.log2(n_buckets)))
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        key = np.fromiter((md5_lower64(str(x)) for x in df["doc_id"]),
-                          dtype=np.uint64, count=len(df))
+        key = md5_lower64_batch(str(x) for x in df["doc_id"])
         return pd.DataFrame({
             "doc_id": df["doc_id"].to_numpy(),
             "key": key,
@@ -3776,9 +3688,11 @@ def per_source_cap(sf_dir: str, cap: int = PER_SOURCE_CAP_N):
         return df.groupby("source", sort=False).head(cap)[
             ["doc_id", "source", "hkey_hi", "hkey_lo"]]
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
+    kept = pa.schema([("doc_id", pa.int64()), ("source", pa.string())])
+
+    def final(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["hkey_hi", "hkey_lo", "doc_id"], kind="stable")
-        return g.head(cap)[["doc_id", "source"]]
+        return _arrow(g.head(cap), kept)
 
     return (
         _read(sf_dir, "documents", ["doc_id", "source"])
@@ -3900,30 +3814,24 @@ def mg_heavy_hitters(sf_dir: str, frac_den: int = MG_FRAC_DEN, sketch_k: int = 3
       pass 2: exact counts for the broadcast candidates only -> integer
         threshold filter. Both passes' thresholds are pure int math."""
     import ray
-    from ray.data.aggregate import Sum
 
     assert sketch_k + 1 > frac_den, "MG guarantee needs k+1 > frac_den"
     ds = _read(sf_dir, "documents", ["text"])
+    counts = pa.schema([("word", pa.string()), ("cnt", pa.int64())])
 
-    def mg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        toks = _tokens(df["text"]).explode().dropna()
-        toks = toks[toks != ""]
-        vc = toks.value_counts()
+    def mg_partial(df: pd.DataFrame) -> pa.Table:
+        vc = word_ngrams(df["text"], 1)["gram"].value_counts()
         if len(vc) > sketch_k:
             t = int(vc.iloc[sketch_k])  # (k+1)-th largest
             vc = (vc - t)[lambda s: s > 0]
-        out = pd.DataFrame({"word": vc.index.astype(str), "cnt": vc.to_numpy()})
-        out["n_b"] = np.int64(len(toks))
-        return out
+        return _arrow(pd.DataFrame({"word": vc.index, "cnt": vc.to_numpy()}), counts)
 
     partials = _vocab_combine(
         ds.map_batches(mg_partial, batch_format="pandas"), "word", val="cnt")
-    # total tokens: sum of per-batch n_b carried on the first row per batch
-    # would double-count per word; recompute exactly from a cheap pass
+    # the exact token total, from a cheap pass of its own
     total = int(
         ds.map_batches(
-            lambda df: pd.DataFrame({"n": [int(_tokens(df["text"]).explode()
-                                           .dropna().pipe(lambda s: (s != "").sum()))]}),
+            lambda df: pd.DataFrame({"n": [len(word_ngrams(df["text"], 1))]}),
             batch_format="pandas",
         ).sum("n")
     )
@@ -3932,24 +3840,21 @@ def mg_heavy_hitters(sf_dir: str, frac_den: int = MG_FRAC_DEN, sketch_k: int = 3
     # cnt*A > B  <=>  cnt > B//A), since filter exprs want `col > literal`
     kp1 = sketch_k + 1
     cand_thr = (total * (kp1 - frac_den)) // (frac_den * kp1)
-    cand = partials.filter(expr=f"cnt > {cand_thr}").to_pandas()
+    cand = _collect_where(partials, f"cnt > {cand_thr}", ["word", "cnt"])
     cand_ref = ray.put(set(cand["word"]))
 
-    def exact_counts(df: pd.DataFrame) -> pd.DataFrame:
+    def exact_counts(df: pd.DataFrame) -> pa.Table:
         import ray as _ray
 
         cset = _ray.get(cand_ref)
-        toks = _tokens(df["text"]).explode().dropna()
-        toks = toks[(toks != "") & toks.isin(cset)]
-        vc = toks.value_counts()
-        return pd.DataFrame({"word": vc.index.astype(str), "cnt": vc.to_numpy()})
+        toks = word_ngrams(df["text"], 1)["gram"]
+        vc = toks[toks.isin(cset)].value_counts()
+        return _arrow(pd.DataFrame({"word": vc.index, "cnt": vc.to_numpy()}), counts)
 
-    out = (
+    out = _collect_where(
         _vocab_combine(ds.map_batches(exact_counts, batch_format="pandas"),
-                       "word", val="cnt")
-        .filter(expr=f"cnt > {total // frac_den}")  # exact: int cnt
-        .to_pandas()
-    )
+                       "word", val="cnt"),
+        f"cnt > {total // frac_den}", ["word", "cnt"])  # exact: int cnt
     out["cnt"] = out["cnt"].astype("int64")
     return out.sort_values(["cnt", "word"], ascending=[False, True],
                            kind="stable").reset_index(drop=True)
@@ -4175,65 +4080,10 @@ def _vocab_combine(partials, key: str, val: str = "n"):
 
 def bigram_logprob_scores(sf_dir: str, min_count: int = LM_MIN_COUNT):
     """Order-2 LM quality scoring (the CCNet-style LM filter one order up
-    from unigram_logprob_scores): per-doc mean JOINT bigram log-probability
-    in exact integer micro-nats. Same parity scheme as the unigram scorer
-    — int64 accumulation, one double division at the end — and the same
-    bounded-vocabulary shape: the bigram TOTAL is a distributed scalar,
-    the min_count prune runs IN the dataset (the unpruned bigram table is
-    corpus-sized and never lands on the driver), pruned bigrams score the
-    exact count-1 floor round(ln(1/total)*1e6).
-
-    Bigrams form via `_word_ngrams(n=2)`: vectorized, doc-boundary-valid,
-    no per-row Python."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def explode_bigrams(df: pd.DataFrame) -> pd.DataFrame:
-        g = _word_ngrams(df["text"], 2)
-        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy()[g["row"].to_numpy()],
-                             "gram": g["gram"].to_numpy()})
-
-    def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = explode_bigrams(df)["gram"].value_counts()
-        return pd.DataFrame({"gram": vc.index.astype(str), "n": vc.to_numpy()})
-
-    vocab_ds = _vocab_combine(
-        ds.map_batches(count_partial, batch_format="pandas"), "gram"
-    ).materialize()  # post-combine = vocab-sized; avoids recomputing the
-    # whole token sweep for the total AND again for the prune
-    total = int(vocab_ds.sum("n") or 0)
-    vocab = vocab_ds.filter(expr=f"n >= {int(min_count)}").to_pandas()
-    if total > 0:
-        lpm = round_half_away(
-            np.log(vocab["n"].to_numpy(dtype=np.float64) / total) * 1e6, 0
-        ).astype(np.int64)
-        lpm_oov = int(round_half_away(np.log(1.0 / total) * 1e6, 0))
-    else:  # no doc has 2+ tokens: every doc scores (0 bigrams, mean 0.0)
-        lpm, lpm_oov = np.array([], dtype=np.int64), 0
-    lpm_ref = ray.put((dict(zip(vocab["gram"], lpm)), lpm_oov))
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        import ray as _ray
-
-        lpm_map, oov = _ray.get(lpm_ref)
-        t = explode_bigrams(df)
-        if len(t):
-            t["lpm"] = t["gram"].map(lpm_map).fillna(oov).astype("int64")
-            agg = t.groupby("doc_id", sort=False).agg(
-                n_bigrams=("gram", "size"), total_lpm=("lpm", "sum"))
-        else:
-            agg = pd.DataFrame(columns=["n_bigrams", "total_lpm"])
-        out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy()}).join(agg, on="doc_id")
-        nb = out["n_bigrams"].fillna(0).to_numpy(dtype=np.int64)
-        tot = out["total_lpm"].fillna(0).to_numpy(dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(nb > 0, round_half_away(tot / (nb * 1e6), 6), 0.0)
-        return pd.DataFrame({"doc_id": out["doc_id"].to_numpy(),
-                             "n_bigrams": nb, "mean_logprob": mean})
-
-    return ds.map_batches(score, batch_format="pandas")
+    from unigram_logprob_scores): per-doc (n_bigrams, mean JOINT bigram
+    log-probability) in exact integer micro-nats, the same scorer at n=2
+    (`_ngram_logprob_scores`)."""
+    return _ngram_logprob_scores(sf_dir, 2, "n_bigrams", min_count)
 
 
 BIGRAM_LOGPROB_SQL = _TOKS_CTE + rf""", bg AS (
@@ -4936,15 +4786,8 @@ def _word_histogram(sf_dir: str):
     value_counts partials, ONE coarse hash(word) exchange
     (_vocab_combine). Output cardinality = distinct-word vocabulary,
     bounded by language, not corpus size."""
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].fillna("").str.lower().str.strip().str.split()
-        vc = words.explode().dropna().value_counts()
-        vc = vc[vc.index != ""]
-        return pd.DataFrame({"word": vc.index.to_numpy(dtype=object),
-                             "n": vc.to_numpy(dtype=np.int64)})
-
     ds = _read(sf_dir, "documents", ["text"]).map_batches(
-        partial, batch_format="pandas")
+        _gram_counts(1, "word"), batch_format="pandas")
     return _vocab_combine(ds, "word")
 
 
@@ -5014,21 +4857,15 @@ def bpe_token_counts(sf_dir: str, num_merges: int = 40):
     merges = bpe_train_merges(sf_dir, num_merges=num_merges)
     ranks = {(l, r): int(k) for k, l, r in
              zip(merges["rank"], merges["left"], merges["right"])}
+    sums = pa.schema([("source", pa.string()), ("bpe_tokens", pa.int64())])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        words = df["text"].fillna("").str.lower().str.strip().str.split()
-        ex = words.explode().dropna()
-        ex = ex[ex != ""]
-        if len(ex) == 0:
-            return pd.DataFrame({"source": pd.Series(dtype=str),
-                                 "bpe_tokens": pd.Series(dtype="int64")})
-        toks = apply_merges(ex, ranks)
-        per_doc = pd.Series(toks, index=ex.index).groupby(level=0).sum()
-        src = df["source"].astype(str)
-        out = pd.DataFrame({"source": src,
-                            "bpe_tokens": per_doc.reindex(df.index, fill_value=0)
-                            .to_numpy(dtype=np.int64)})
-        return out.groupby("source", as_index=False, sort=False)["bpe_tokens"].sum()
+    def partial(df: pd.DataFrame) -> pa.Table:
+        g = word_ngrams(df["text"], 1)
+        toks = _doc_sums(g["row"].to_numpy(), len(df), apply_merges(g["gram"], ranks))
+        out = pd.DataFrame({"source": df["source"].astype(str).to_numpy(),
+                            "bpe_tokens": toks})
+        return _arrow(out.groupby("source", as_index=False, sort=False)["bpe_tokens"].sum(),
+                      sums)
 
     partials = _read(sf_dir, "documents", ["text", "source"]).map_batches(
         partial, batch_format="pandas")
@@ -5095,30 +4932,31 @@ def source_overlap_matrix(sf_dir: str, n: int = 3):
     mirrored crawls, boilerplate families) before mixing weights are
     chosen.
 
-    Scale shape: the `_word_ngrams` explode deduped to (source, gram) per
+    Scale shape: the `word_ngrams` explode deduped to (source, gram) per
     batch -> ONE coarse exchange on gram (`_exchange`) -> in-partition
     global distinct + the vectorized self-merge (minhash-bucket pattern; a
     gram lives wholly in its partition, so pair counts are complete and
     partials sum) -> driver reduce bounded by |sources|^2 rows. The registered oracle is
     the n=3 instantiation."""
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        g = _word_ngrams(df["text"], n)
-        src = df["source"].astype(str).to_numpy()[g["row"].to_numpy()]
-        return pd.DataFrame({"source": src, "gram": g["gram"].to_numpy()}).drop_duplicates()
+    grams = pa.schema([("source", pa.string()), ("gram", pa.string())])
+    pairs = pa.schema([("source_a", pa.string()), ("source_b", pa.string()),
+                       ("shared_grams", pa.int64())])
 
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
+    def explode(df: pd.DataFrame) -> pa.Table:
+        g = word_ngrams(df["text"], n)
+        src = df["source"].astype(str).to_numpy()[g["row"].to_numpy()]
+        return _arrow(pd.DataFrame({"source": src, "gram": g["gram"].to_numpy()})
+                      .drop_duplicates(), grams)
+
+    def per_part(g: pd.DataFrame) -> pa.Table:
         d = g.drop_duplicates(["gram", "source"])[["gram", "source"]]
         mm = d.merge(d, on="gram")
         mm = mm[mm["source_x"].to_numpy() < mm["source_y"].to_numpy()]
-        if len(mm) == 0:
-            return pd.DataFrame({"source_a": pd.Series(dtype=str),
-                                 "source_b": pd.Series(dtype=str),
-                                 "shared_grams": pd.Series(dtype="int64")})
         vc = mm.groupby(["source_x", "source_y"], sort=False).size()
         idx = vc.index.to_frame(index=False)
-        return pd.DataFrame({"source_a": idx["source_x"].to_numpy(dtype=object),
-                             "source_b": idx["source_y"].to_numpy(dtype=object),
-                             "shared_grams": vc.to_numpy(dtype=np.int64)})
+        return _arrow(pd.DataFrame({"source_a": idx["source_x"].to_numpy(dtype=object),
+                                    "source_b": idx["source_y"].to_numpy(dtype=object),
+                                    "shared_grams": vc.to_numpy(dtype=np.int64)}), pairs)
 
     partials = _exchange(
         _read(sf_dir, "documents", ["text", "source"]).map_batches(explode, batch_format="pandas"),

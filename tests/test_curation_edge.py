@@ -126,22 +126,26 @@ def test_decontaminate_holdout_only_and_no_overlap(tmp_path):
 def test_tfidf_and_unigram_ties_and_empty(tmp_path):
     """Score ties at the top-k boundary must break by term ASC (both
     engines), and empty/whitespace-only docs must not crash — tfidf emits
-    no rows for them, unigram emits n_tokens=0/mean=0."""
+    no rows for them, unigram emits n_tokens=0/mean=0. The bigram scorer
+    gives every doc with fewer than two tokens n_bigrams=0/mean=0."""
     from oar_ocr_ray.queries import (
+        BIGRAM_LOGPROB_SQL,
         TFIDF_SQL,
         UNIGRAM_LOGPROB_SQL,
+        bigram_logprob_scores,
         tfidf_top_terms,
         unigram_logprob_scores,
     )
 
     rows = {
-        "doc_id": np.arange(6, dtype=np.int64),
-        # doc 0 has all four terms at tf=1: b,d share idf=ln(3) and a,c
-        # share idf=ln(2), so the third top-3 slot is an exact a-vs-c score
-        # tie -> term ASC must pick 'a' on both engines
-        "text": ["d c b a", "a b", "c d", "a c", "", "  \t "],
-        "lang": ["en"] * 6,
-        "source": ["s"] * 6,
+        "doc_id": np.arange(7, dtype=np.int64),
+        # doc 0 has all four terms at tf=1: b,d share idf=ln(7/2) and a,c
+        # share idf=ln(7/3), so the third top-3 slot is an exact a-vs-c
+        # score tie -> term ASC must pick 'a' on both engines. Doc 6 is one
+        # token, a hapax that the min_df prune drops from tfidf.
+        "text": ["d c b a", "a b", "c d", "a c", "", "  \t ", " e\n"],
+        "lang": ["en"] * 7,
+        "source": ["s"] * 7,
         "n_chars": np.int64(7),
     }
     d = write_docs(tmp_path, rows, n_files=2)
@@ -154,9 +158,16 @@ def test_tfidf_and_unigram_ties_and_empty(tmp_path):
 
     got = unigram_logprob_scores(d).to_pandas()
     assert_equal(got, oracle(d, UNIGRAM_LOGPROB_SQL))
-    assert len(got) == 6
+    assert len(got) == 7
     empt = got[got.doc_id.isin([4, 5])]
     assert (empt.n_tokens == 0).all() and (empt.mean_logprob == 0.0).all()
+
+    got = bigram_logprob_scores(d).to_pandas()
+    assert_equal(got, oracle(d, BIGRAM_LOGPROB_SQL))
+    assert len(got) == 7
+    short = got[got.doc_id.isin([4, 5, 6])]
+    assert (short.n_bigrams == 0).all() and (short.mean_logprob == 0.0).all()
+    assert (got[got.doc_id < 4].n_bigrams > 0).all()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -194,13 +205,18 @@ def test_tfidf_and_unigram_vocab_prune(tmp_path):
     # hard cap: only the highest-df term ('x', df=4) survives vocab_topk=1
     capped = tfidf_top_terms(d, min_df=1, vocab_topk=1).to_pandas()
     assert set(capped.term) == {"x"}
+    # a prune that keeps no term: no rows, not a crash on an empty vocabulary
+    assert len(tfidf_top_terms(d, min_df=5).to_pandas()) == 0
 
     got = unigram_logprob_scores(d).to_pandas()
     assert_equal(got, oracle(d, UNIGRAM_LOGPROB_SQL))
+    import math
+    # a prune that keeps no word: every token scores the OOV floor ln(1/7)
+    floor = unigram_logprob_scores(d, min_count=5).to_pandas()
+    assert np.allclose(floor.mean_logprob, math.log(1 / 7), rtol=0, atol=1e-6)
     # doc 0's mean uses the OOV floor ln(1/total) for zzhapax: total=7
     # tokens (x:4, y:2, zzhapax:1); x: ln(4/7), y: ln(2/7), floor ln(1/7);
     # mean = (sum of micro-nats)/(3*1e6) rounded to 6 decimals
-    import math
     exp = round((round(math.log(4 / 7) * 1e6) + round(math.log(2 / 7) * 1e6)
                  + round(math.log(1 / 7) * 1e6)) / 3e6, 6)
     assert float(got[got.doc_id == 0].mean_logprob.iloc[0]) == exp

@@ -8,10 +8,11 @@ invariance and scalar/vectorized agreement.
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oar_ocr_ray.ctc import ctc_greedy_decode, encode_ctc_logits
+from oar_ocr_ray.functions.text_analysis import word_ngrams
 from oar_ocr_ray.sorting import sort_quad_boxes_indices
 from oar_ocr_ray.stages.reassemble import merge_partials, pack_partial, rebuild_partition
 from oar_ocr_ray.textproc import (
@@ -49,6 +50,30 @@ strip_pieces = st.one_of(
 def test_strip_scalar_equals_arrow(text):
     got = strip_boilerplate_arrow(pa.array([text], pa.string()))[0].as_py()
     assert got == strip_boilerplate(text)
+
+
+# what the word tokenizer meets: missing texts, and words of mixed case
+# between runs of spaces, tabs and newlines, at either edge too
+ngram_texts = st.one_of(
+    st.none(),
+    st.lists(st.one_of(st.sampled_from([" ", "\t", "\n", "  ", " \t\n"]),
+                       st.text(alphabet="abAB", min_size=1, max_size=3)),
+             max_size=8).map("".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ngram_texts, max_size=6), st.sampled_from([1, 2, 3]))
+@example([None, " \t\n ", "one", "\tA b\nc D\n"], 1)
+@example([None, " \t\n ", "one", "\tA b\nc D\n"], 2)
+@example([None, " \t\n ", "one", "\tA b\nc D\n"], 3)
+def test_word_ngrams_equal_per_row_reference(texts, n):
+    g = word_ngrams(pd.Series(texts, dtype=object), n)
+    want = []
+    for row, t in enumerate(texts):
+        w = (t or "").lower().split()
+        want += [(row, i + 1, " ".join(w[i:i + n])) for i in range(len(w) - n + 1)]
+    assert list(zip(g["row"], g["pos"], g["gram"])) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -93,6 +93,7 @@ def oracle_pairs():
     "dsir_importance_weights", "classifier_filter_scores",
     "ann_pq_topk", "ann_lsh_multiprobe_topk", "ann_recall_eval", "ann_recall_ivf",
     "ann_recall_pq", "ann_recall_multiprobe",
+    "bigram_logprob_scores", "ccnet_perplexity_buckets",
 ])
 def test_query_matches_oracle(ray_session, duck, name):
     from oar_ocr_ray.queries import ORACLE_SQL, QUERIES

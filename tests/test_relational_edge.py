@@ -143,6 +143,8 @@ def test_mg_heavy_hitters_decrement_path(tmp_path):
     assert "heavy" in set(got.word)
     # exact count, not the MG undercount: 60 docs x 6 occurrences
     assert int(got.loc[got.word == "heavy", "cnt"].iloc[0]) == 360
+    # no word is over half of the 840 tokens: no candidate, no rows
+    assert len(mg_heavy_hitters(d, frac_den=2, sketch_k=32)) == 0
 
 
 @pytest.mark.usefixtures("ray_session")
