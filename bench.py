@@ -82,6 +82,11 @@ BENCH_QUERIES = [
     "q8_market_share",
     "q19_disjunctive_revenue",
     "bpe_token_counts",
+    # the fact-keyed sums (`queries._keyed_sum`)
+    "q3_top_orders",
+    "q10_returned_revenue",
+    "orders_per_customer_topk",
+    "q15_top_supplier",
     # round-5: the production stage shape (det + rec session seams ON)
     "extract_flagship_seams",
 ]

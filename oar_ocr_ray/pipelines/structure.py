@@ -33,8 +33,9 @@ def build_structure_pipeline(
     formula_model_input: bool = False,
 ) -> "ray.data.Dataset":
     """Lazy per-page structure DAG: refs (optionally filtered to a bucket
-    group) -> actor-pool StructureExtract. Blocks default to the bucket
-    count so tasks stay bucket-local (see BASELINE.md round 3)."""
+    group) -> StructureExtract, run as tasks (`cached_stage`: one instance
+    per worker process). Blocks default to the bucket count so tasks stay
+    bucket-local (see BASELINE.md round 3)."""
     import pyarrow.dataset as pads
     import ray.data
 

@@ -1,5 +1,5 @@
 """Structure-extraction stage: the PP-StructureV3 per-page flow as one
-actor-pool map_batches stage over page-ref rows.
+map_batches stage over page-ref rows, run as tasks through `cached_stage`.
 
 Per page (mirrors /root/reference/src/oarocr/structure.rs:2271-2468
 predict_image, with deterministic stand-ins for the neural cores):
@@ -14,8 +14,9 @@ predict_image, with deterministic stand-ins for the neural cores):
   -> markdown + HTML export.
 
 Stateful pieces (the media store handle; in production the ONNX sessions)
-live in __init__ — once per actor, not per batch. Pixels never leave the
-stage: only (media_ref, n_elements, labels, markdown, html) rows flow on.
+live in __init__ — once per worker process (`cached_stage`), not per
+batch. Pixels never leave the stage: only (media_ref, n_elements, labels,
+markdown, html) rows flow on.
 """
 
 from __future__ import annotations

@@ -255,7 +255,8 @@ def test_partition_ids_are_stable_hashes_in_range():
 @pytest.mark.parametrize("name", [
     "dup_ngram_spans", "ngram_jaccard_dup_pairs", "source_overlap_matrix",
     "events_window_distinct_users", "events_asof_join", "q4_order_priority",
-    "q13_customer_distribution",
+    "q13_customer_distribution", "q3_top_orders", "q10_returned_revenue",
+    "orders_per_customer_topk", "word_topk", "q15_top_supplier",
 ])
 def test_exchange_partition_count_invariant(monkeypatch, name):
     """The coarse partition count is internal: 7 and 64 partitions must

@@ -94,6 +94,7 @@ def oracle_pairs():
     "ann_pq_topk", "ann_lsh_multiprobe_topk", "ann_recall_eval", "ann_recall_ivf",
     "ann_recall_pq", "ann_recall_multiprobe",
     "bigram_logprob_scores", "ccnet_perplexity_buckets",
+    "q15_top_supplier", "q17_small_quantity_revenue", "q22_idle_customer_balance",
 ])
 def test_query_matches_oracle(ray_session, duck, name):
     from oar_ocr_ray.queries import ORACLE_SQL, QUERIES
@@ -101,6 +102,20 @@ def test_query_matches_oracle(ray_session, duck, name):
     ray_df = to_pandas(QUERIES[name](SF_DIR))
     sql_df = duck.execute(ORACLE_SQL[name]).fetch_df()
     compare(name, ray_df, sql_df)
+
+
+def test_canon_renders_nested_and_flat_array_cells():
+    """The oracle sweep's canonical rendering: a flat numeric array cell
+    renders each element as a float (the committed sweep hashes depend on
+    it), and a cell of arrays, the list<list<float>> shape ocr_word_boxes
+    emits, recurses instead of raising."""
+    import pyarrow as pa
+
+    from tools.check_correctness import _canon
+
+    nested = pa.table({"b": [[[1.0, 2.0], [3.5, 4.0]]]}).to_pandas()["b"]
+    df = pd.DataFrame({"nested": nested, "flat": [np.array([1, 2.5])]})
+    assert _canon(df) == "[1.0,2.5]\x1f[[1.0,2.0],[3.5,4.0]]"
 
 
 @pytest.mark.parametrize("name", [

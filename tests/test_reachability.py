@@ -195,3 +195,40 @@ def test_perfbench_patches_resolve(tmp_path):
         patch(rec).undo()
     assert (extract.make_explode_spans, extract.strip_text_spans,
             media.MediaDetect.__call__) == before
+
+
+def unused_local_imports() -> list[str]:
+    """Function-local imports in `oar_ocr_ray` whose bound name the
+    function (nested functions included) never loads, as "path:line
+    function name". An import inside `try: ... except ImportError` is an
+    availability probe and is skipped."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "oar_ocr_ray", "**", "*.py"), recursive=True)):
+        tree = ast.parse(open(path).read(), path)
+        probes = set()
+        for t in ast.walk(tree):
+            if isinstance(t, ast.Try) and any(
+                    h.type is not None and "ImportError" in ast.unparse(h.type)
+                    for h in t.handlers):
+                probes |= {id(n) for s in t.body for n in ast.walk(s)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            todo = list(fn.body)  # this function's own statements, not nested defs
+            while todo:
+                node = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in probes:
+                    for a in node.names:
+                        bound = a.asname or a.name.partition(".")[0]
+                        if bound not in loads:
+                            rel = os.path.relpath(path, ROOT)
+                            found.append(f"{rel}:{node.lineno} {fn.name} {bound}")
+                todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_unused_local_imports():
+    assert unused_local_imports() == []

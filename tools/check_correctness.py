@@ -57,7 +57,10 @@ def _canon(df):
             import numpy as np
 
             if isinstance(v, np.ndarray):
-                return "[" + ",".join(cell(float(x)) for x in v) + "]"
+                # numbers render as floats; nested arrays/lists recurse
+                return "[" + ",".join(
+                    cell(x if isinstance(x, (np.ndarray, list, tuple)) else float(x))
+                    for x in v) + "]"
             if isinstance(v, (np.floating,)):
                 return repr(float(v))
             if isinstance(v, (np.integer,)):
