@@ -87,6 +87,10 @@ BENCH_QUERIES = [
     "q10_returned_revenue",
     "orders_per_customer_topk",
     "q15_top_supplier",
+    # the rest of the `_exchange` joins (q5, q7, q8, q13, q17, q19 are above)
+    "q4_order_priority",
+    "q12_priority_by_returnflag",
+    "q22_idle_customer_balance",
     # round-5: the production stage shape (det + rec session seams ON)
     "extract_flagship_seams",
 ]

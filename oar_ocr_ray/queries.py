@@ -21,7 +21,8 @@ Scale patterns demonstrated (and used at 100 TB):
     (flags, nations, sources, buckets, sketch registers) are combined on
     the driver (`_reduce_small`); scalar totals are `Dataset.sum`;
   - broadcast small sides via ray.put + per-batch lookup (no shuffle join);
-  - hash-partitioned Dataset.join only where both sides are large;
+  - where both sides of a join are large, the sides of one `_exchange`
+    (there is no Dataset.join);
   - per-group windowing via groupby(key).map_groups over ts-sorted groups;
   - dedup keyed on content hashes, with in-group exact verification.
 
@@ -32,14 +33,16 @@ size is bounded by something other than the fact table — a dimension
 n-gram set), a sketch (HLL registers, Bloom bitset, MG candidates <= a
 provable constant), or a query set. Anything FACT-cardinality (orders,
 parts, custkeys, per-doc maps, unpruned vocabularies) moves through a
-keyed exchange instead: Dataset.join, or `_exchange`, the one coarse
-hash(key) % P co-partition, with a vectorized in-partition merge (both
-sides of a join carry the key in one column). Queries that ship
-orders-derived lookups via ray.put (q3, q10, q18 inner map,
-q5_nation_revenue_broadcast) are the SMALL-SIDE plan kept deliberately
-next to the big-big plan of the same join (q5, q4/q12/q13/q17/q22) — at
-100 TB the planner picks by the measured side size against the
-object-store budget; both shapes are implemented and tested here.
+keyed exchange instead: `_exchange`, the one coarse hash(key) % P
+co-partition. A big-big join passes it its sides as (Dataset, schema)
+pairs that carry the key in one column, and gets one Arrow table per
+side per partition for a vectorized in-partition join (`pa.Table.join`).
+Queries that ship orders-derived lookups via ray.put (q3, q10, q18 inner
+map, q5_nation_revenue_broadcast) are the SMALL-SIDE plan kept
+deliberately next to the big-big plan of the same join (q5,
+q4/q12/q13/q22) — at 100 TB the planner picks by the measured side size
+against the object-store budget; both shapes are implemented and tested
+here.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .functions.text_analysis import word_ngrams
 from .numeric import round_half_away
@@ -78,18 +82,17 @@ def _p(sf_dir: str, table: str) -> str:
 
 
 # The fewest Ray CPUs the query library runs on. Its actor pools
-# (concurrency=2, one CPU per actor) and hash joins (0.125 CPU per
-# partition for the aggregator actors) hold CPUs that their upstream reads
-# then lack: on 1 CPU q5_nation_revenue's 8-partition join never runs its
-# reads, on 2 ann_topk's pool never does. The tests run the library on 4.
+# (concurrency=2, one CPU per actor) hold CPUs that their upstream reads
+# then lack: on 2 CPUs ann_topk's pool never runs its reads. The tests run
+# the library on 4.
 MIN_CLUSTER_CPUS = 4
 
 
 def _require_cluster_cpus(query: str) -> None:
     """Refuse, naming MIN_CLUSTER_CPUS, to start a query whose actor pool
-    or hash join would hold every CPU of a smaller running cluster and
-    hang. (The library never starts Ray itself; with no session there is
-    no cluster to size yet.)"""
+    would hold every CPU of a smaller running cluster and hang. (The
+    library never starts Ray itself; with no session there is no cluster
+    to size yet.)"""
     import ray
 
     if not ray.is_initialized():
@@ -99,7 +102,7 @@ def _require_cluster_cpus(query: str) -> None:
         raise RuntimeError(
             f"{query} needs a Ray cluster of at least MIN_CLUSTER_CPUS="
             f"{MIN_CLUSTER_CPUS} CPUs, this one has {cpus:g}: its actor pool "
-            "or hash join would hold the CPUs its reads need and never finish")
+            "would hold the CPUs its reads need and never finish")
 
 
 def _collect_where(ds, expr: str, columns: list[str]) -> pd.DataFrame:
@@ -153,6 +156,7 @@ def _partition_ids(batch, key, n_parts: int) -> np.ndarray:
 
 
 _PART = "_part"
+_SIDE = "_side"
 
 
 def _exchange(ds, key, fn, batch_format: str = "pandas"):
@@ -160,33 +164,69 @@ def _exchange(ds, key, fn, batch_format: str = "pandas"):
     partitions and `fn` runs once per PARTITION, a vectorized merge or
     groupby over all of its keys, never once per key (the per-batch UDF
     call of *Accelerating Python UDFs in Vectorized Query Execution*,
-    CIDR 2022). Rows with equal keys always meet in one call; `fn` gets
-    them without the partition column. `ds` is one Dataset or the list of
-    a join's sides, each tagged in its own map tasks and then unioned (a
-    map after the union would run as tasks of its own). The partition
-    count is read here, on the driver, so no worker calls Ray."""
+    CIDR 2022). Rows with equal keys always meet in one call. The
+    partition count is read here, on the driver, so no worker calls Ray.
+
+    `ds` is one Dataset, and `fn(g)` gets a partition's rows in
+    `batch_format`, or a join's sides as a list of (Dataset, schema) pairs
+    that all carry `key`, and `fn(*sides)` gets one Arrow table per side,
+    of that side's schema and possibly with no rows. Only here are sides
+    tagged, padded with nulls to the union of their columns (prefixed
+    with the side, so a name on two sides stays apart), unioned and split
+    again. Each side is tagged in its own map tasks (a map after the
+    union would run as tasks of its own), and must yield Arrow: Ray skips
+    the tagging map for an empty block, and one pandas block turns the
+    whole exchange into pandas, where a padded int column reads float."""
     n_parts = _n_parts()
 
-    def add_part(b):
-        ids = _partition_ids(b, key, n_parts)
-        if isinstance(b, pa.Table):
-            return b.append_column(_PART, pa.array(ids))
-        return b.assign(**{_PART: ids})
+    if not isinstance(ds, list):
+        def add_part(b):
+            ids = _partition_ids(b, key, n_parts)
+            if isinstance(b, pa.Table):
+                return b.append_column(_PART, pa.array(ids))
+            return b.assign(**{_PART: ids})
 
-    def run(g):
-        return fn(g.drop_columns([_PART]) if isinstance(g, pa.Table)
-                  else g.drop(columns=_PART))
+        def run(g):
+            return fn(g.drop_columns([_PART]) if isinstance(g, pa.Table)
+                      else g.drop(columns=_PART))
 
-    tagged = [d.map_batches(add_part, batch_format=batch_format)
-              for d in (ds if isinstance(ds, list) else [ds])]
-    joined = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return joined.groupby(_PART).map_groups(run, batch_format=batch_format)
+        tagged = ds.map_batches(add_part, batch_format=batch_format)
+        return tagged.groupby(_PART).map_groups(run, batch_format=batch_format)
+
+    schemas = [schema for _, schema in ds]
+    cols = [(i, f) for i, schema in enumerate(schemas) for f in schema]
+    names = [_PART, _SIDE] + [f"{i}.{f.name}" for i, f in cols]
+
+    def tag(side: int):
+        def add_side(b: pa.Table) -> pa.Table:
+            n = len(b)
+            return pa.table(
+                [pa.array(_partition_ids(b, key, n_parts)), pa.array(np.full(n, side, np.int8))]
+                + [b[f.name].cast(f.type) if i == side else pa.nulls(n, f.type) for i, f in cols],
+                names=names)
+        return add_side
+
+    def run_sides(g: pa.Table):
+        return fn(*(g.filter(pc.equal(g[_SIDE], i)).select(
+            [f"{i}.{name}" for name in schema.names]).rename_columns(schema.names)
+            for i, schema in enumerate(schemas)))
+
+    tagged = [d.map_batches(tag(i), batch_format="pyarrow") for i, (d, _) in enumerate(ds)]
+    return tagged[0].union(*tagged[1:]).groupby(_PART).map_groups(
+        run_sides, batch_format="pyarrow")
 
 
 def _read(sf_dir: str, table: str, columns=None):
+    """`table`, pruned to `columns`, read with its own schema minus the
+    pandas metadata the files carry: Ray cannot hash a schema that holds
+    it and logs a warning from each read task."""
+    import pyarrow.dataset as pds
     import ray.data
 
-    return ray.data.read_parquet(_p(sf_dir, table), columns=columns)
+    path = _p(sf_dir, table)
+    schema = pds.dataset(path, format="parquet").schema
+    schema = pa.schema([schema.field(c) for c in columns] if columns else list(schema))
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def _collect_broadcast(sf_dir: str, table: str, columns=None,
@@ -401,49 +441,37 @@ LIMIT 10
 
 
 def q5_nation_revenue(sf_dir: str):
-    """Hash-partitioned Dataset.join for the big-big edge (lineitem x
-    orders), broadcast maps for the small dimensions.
-
-    Join partition count scales with the cluster at ~1 per 4 CPUs (min 8):
-    measured on the 32-CPU box at sf0.1, Ray's hash-shuffle join has large
-    per-partition overhead — 8 parts = 7.6 s, 16 = 8.0 s, 32 = 29.6 s,
-    64 = 108 s — so partitions should track nodes, not cores. At real
-    cluster scale each partition must also fit a worker's heap, which this
-    policy preserves by growing with the cluster."""
-    _require_cluster_cpus("q5_nation_revenue")
-    import ray
-    import ray.data
-
+    """The big-big edge (lineitem x orders) as an `_exchange` join on
+    orderkey, broadcast maps for the small dimensions: the orders side
+    carries its customer's nation, each partition joins it to its lines'
+    exact revenue and sums per nation, and the driver sums the partials
+    (<= 25 rows per partition)."""
     cust = _collect_broadcast(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     nation = _collect_broadcast(sf_dir, "nation", ["n_nationkey", "n_name"])
     cust_nation = dict(zip(cust["c_custkey"], cust["c_nationkey"]))
     nation_name = dict(zip(nation["n_nationkey"], nation["n_name"]))
 
-    # partitions track NODES, not cores: measured per-partition shuffle
-    # overhead on one node is 8 parts 7.6s / 32 parts 29.6s / 64 parts
-    # 108s at sf0.1 — more partitions per node only adds exchange cost,
-    # while more nodes genuinely need more partitions for memory fit.
-    n_parts = max(8, 4 * len(ray.nodes()))
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    line = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    joined = line.join(
-        orders, join_type="inner", num_partitions=n_parts,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    def o_side(df: pd.DataFrame) -> pa.Table:
+        name = df["o_custkey"].map(cust_nation).map(nation_name)
+        keep = name.notna().to_numpy()
+        return pa.table({"key": df["o_orderkey"].to_numpy()[keep],
+                         "n_name": name[keep].to_numpy()})
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        nk = df["o_custkey"].map(cust_nation)
-        name = nk.map(nation_name)
-        rev = rev_c4(df["l_extendedprice"], df["l_discount"])
-        g = pd.DataFrame({"n_name": name, "rev": rev}).groupby("n_name", as_index=False, sort=False)[
-            "rev"
-        ].sum()
-        return g.rename(columns={"rev": "revenue"})
+    def l_side(df: pd.DataFrame) -> pa.Table:
+        return pa.table({"key": df["l_orderkey"].to_numpy(),
+                         "c4": rev_c4(df["l_extendedprice"], df["l_discount"])})
 
-    partials = joined.map_batches(partial, batch_format="pandas")
-    df = _reduce_small(partials, ["n_name"], ["revenue"])
-    df["revenue"] = round_half_away(df["revenue"] / 10000.0, 2)
-    return df
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
+        o_side, batch_format="pandas")
+    lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
+                  ).map_batches(l_side, batch_format="pandas")
+    partials = _exchange(
+        [(orders, pa.schema([("key", pa.int64()), ("n_name", pa.string())])),
+         (lines, pa.schema([("key", pa.int64()), ("c4", pa.int64())]))], "key",
+        lambda o, l: l.join(o, "key").group_by("n_name").aggregate([("c4", "sum")]))
+    df = _reduce_small(partials, ["n_name"], ["c4_sum"])
+    return pd.DataFrame({"n_name": df["n_name"],
+                         "revenue": round_half_away(df["c4_sum"] / 10000.0, 2)})
 
 
 Q5_SQL = f"""
@@ -629,8 +657,6 @@ LIMIT 20
 
 def filter_highvalue_orders(sf_dir: str):
     """Filter + projection with predicate applied as an Arrow filter."""
-    import pyarrow.compute as pc
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     return ds.map_batches(
         lambda t: t.filter(pc.greater(t["o_totalprice"], 400000.0)),
@@ -1180,8 +1206,6 @@ GROUP BY lower(regexp_replace(trim(text), '\s+', ' ', 'g'))
 def span_roundtrip(sf_dir: str):
     """Explode -> filter -> shuffle-regroup -> ordered rejoin: the
     sequence-reconstruction machinery with a SQL-checkable oracle."""
-    import pyarrow.compute as pc
-
     def explode(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
         words = df["text"].fillna("").str.split(" ")
@@ -1199,10 +1223,8 @@ def span_roundtrip(sf_dir: str):
 
     def regroup(t: pa.Table) -> pa.Table:
         df = t.to_pandas().sort_values(["doc_id", "pos"])
-        g = df.groupby("doc_id", sort=True)["word"].agg(" ".join).reset_index()
-        return pa.Table.from_pandas(
-            g.rename(columns={"word": "text_kept"}), preserve_index=False
-        )
+        g = df.groupby("doc_id", sort=True)["word"].agg(" ".join)
+        return pa.table({"doc_id": g.index.to_numpy(), "text_kept": g.to_numpy()})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     ds = ds.map_batches(explode, batch_format="pyarrow")
@@ -2050,8 +2072,6 @@ def _media_lines_ds(sf_dir: str, emit_word_boxes: bool = False):
     bboxes (media path only)."""
     import importlib.util as _il
 
-    import pyarrow.compute as pc
-
     from .pipelines.extract import span_rows
 
     spec = _il.spec_from_file_location(
@@ -2070,8 +2090,6 @@ def _media_lines_ds(sf_dir: str, emit_word_boxes: bool = False):
 def ocr_word_boxes(sf_dir: str):
     """Rows-only: per recognized line, per-character word boxes from REAL
     CTC column indices (ocr.rs:862-933), in detection-box coordinates."""
-    import pyarrow.compute as pc
-
     ds = _media_lines_ds(sf_dir, emit_word_boxes=True)
 
     def summarize(t: pa.Table) -> pa.Table:
@@ -4074,47 +4092,34 @@ def q4_order_priority(sf_dir: str):
     counts for 1996-Q1 orders having at least one late-shipped line.
 
     Scale shape: the order->date map is ORDER-cardinality (never
-    broadcast); both streams add the same coarse hash(orderkey) partition
-    key and the semi-join is a vectorized in-partition merge. The final
+    broadcast); both streams are `_exchange` sides on orderkey, and each
+    partition runs the semi-join as two Arrow joins. The final
     5-row groupby sums the per-partition counts on the driver."""
     lo, hi = np.datetime64("1996-01-01"), np.datetime64("1996-04-01")
-    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("prio", pa.string()),
-                       ("date", pa.timestamp("us"))])
-    counts = pa.schema([("prio", pa.string()), ("n", pa.int64())])
 
-    def o_part(df: pd.DataFrame) -> pa.Table:
+    def o_side(df: pd.DataFrame) -> pa.Table:
         d = df[(df["o_orderdate"].to_numpy() >= lo) & (df["o_orderdate"].to_numpy() < hi)]
-        return _arrow(pd.DataFrame({
-            "key": d["o_orderkey"].to_numpy(), "side": np.int8(0),
-            "prio": d["o_orderpriority"].astype(str),
-            "date": d["o_orderdate"].to_numpy(),
-        }), sides)
+        return pa.table({"key": d["o_orderkey"].to_numpy(), "prio": d["o_orderpriority"],
+                         "date": d["o_orderdate"].to_numpy()})
 
-    def l_part(df: pd.DataFrame) -> pa.Table:
-        return _arrow(pd.DataFrame({
-            "key": df["l_orderkey"].to_numpy(), "side": np.int8(1),
-            "prio": "", "date": df["l_shipdate"].to_numpy(),
-        }), sides)
-
-    def semi_count(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0]
-        l = g[g["side"] == 1]
-        if len(o) == 0:
-            return counts.empty_table()
-        m = o.merge(l[["key", "date"]], on="key", suffixes=("", "_l"))
-        late = m[m["date_l"].to_numpy() > m["date"].to_numpy()]
-        hit = o[o["key"].isin(set(late["key"]))]
-        vc = hit["prio"].value_counts()
-        return _arrow(pd.DataFrame({"prio": vc.index.astype(str), "n": vc.to_numpy()}), counts)
+    def semi_count(o: pa.Table, l: pa.Table) -> pa.Table:
+        m = o.join(l, "key", right_suffix="_l")
+        late = m.filter(pc.greater(m["date_l"], m["date"])).select(["key"])
+        return o.join(late, "key", join_type="left semi").group_by("prio").aggregate(
+            [("key", "count")])
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])\
-        .map_batches(o_part, batch_format="pandas")
+        .map_batches(o_side, batch_format="pandas")
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])\
-        .map_batches(l_part, batch_format="pandas")
-    partials = _exchange([orders, lines], "key", semi_count).to_pandas()
-    out = partials.groupby("prio", as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    return out.rename(columns={"prio": "o_orderpriority", "n": "order_count"}).sort_values(
+        .rename_columns({"l_orderkey": "key", "l_shipdate": "date"})
+    partials = _exchange(
+        [(orders, pa.schema([("key", pa.int64()), ("prio", pa.string()),
+                             ("date", pa.timestamp("us"))])),
+         (lines, pa.schema([("key", pa.int64()), ("date", pa.timestamp("us"))]))],
+        "key", semi_count)
+    out = _reduce_small(partials, ["prio"], ["key_count"])
+    return pd.DataFrame({"o_orderpriority": out["prio"],
+                         "order_count": out["key_count"].astype("int64")}).sort_values(
         "o_orderpriority").reset_index(drop=True)
 
 
@@ -4136,43 +4141,28 @@ def q12_priority_by_returnflag(sf_dir: str):
     per partition, and the driver sums them into the 3-row result."""
     lo, hi = np.datetime64("1996-01-01"), np.datetime64("1997-01-01")
 
-    def o_part(df: pd.DataFrame) -> pd.DataFrame:
-        high = df["o_orderpriority"].isin(["1-URGENT", "2-HIGH"]).to_numpy()
-        return pd.DataFrame({
-            "key": df["o_orderkey"].to_numpy(), "side": np.int8(0),
-            "high": high, "flag": "",
-        })
+    def o_side(df: pd.DataFrame) -> pa.Table:
+        high = df["o_orderpriority"].isin(["1-URGENT", "2-HIGH"]).to_numpy(dtype=np.int64)
+        return pa.table({"key": df["o_orderkey"].to_numpy(), "high": high})
 
-    def l_part(df: pd.DataFrame) -> pd.DataFrame:
+    def l_side(df: pd.DataFrame) -> pa.Table:
         d = df[(df["l_shipdate"].to_numpy() >= lo) & (df["l_shipdate"].to_numpy() < hi)]
-        return pd.DataFrame({
-            "key": d["l_orderkey"].to_numpy(), "side": np.int8(1),
-            "high": False, "flag": d["l_returnflag"].astype(str),
-        })
-
-    def join_count(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["side"] == 0][["key", "high"]]
-        l = g[g["side"] == 1][["key", "flag"]]
-        if len(o) == 0 or len(l) == 0:
-            return pd.DataFrame({"flag": np.array([], dtype="U1"),
-                                 "high_count": np.array([], dtype=np.int64),
-                                 "low_count": np.array([], dtype=np.int64)})
-        m = l.merge(o, on="key")
-        agg = m.groupby("flag", sort=False)["high"].agg(["sum", "count"])
-        return pd.DataFrame({"flag": agg.index.astype(str),
-                             "high_count": agg["sum"].to_numpy(dtype=np.int64),
-                             "low_count": (agg["count"] - agg["sum"]).to_numpy(dtype=np.int64)})
+        return pa.table({"key": d["l_orderkey"].to_numpy(), "flag": d["l_returnflag"]})
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])\
-        .map_batches(o_part, batch_format="pandas")
+        .map_batches(o_side, batch_format="pandas")
     lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_returnflag"])\
-        .map_batches(l_part, batch_format="pandas")
-    partials = _exchange([orders, lines], "key", join_count).to_pandas()
-    out = partials.groupby("flag", as_index=False)[["high_count", "low_count"]].sum()
+        .map_batches(l_side, batch_format="pandas")
+    partials = _exchange(
+        [(orders, pa.schema([("key", pa.int64()), ("high", pa.int64())])),
+         (lines, pa.schema([("key", pa.int64()), ("flag", pa.string())]))], "key",
+        lambda o, l: l.join(o, "key").group_by("flag").aggregate(
+            [("high", "sum"), ("high", "count")]))
+    out = _reduce_small(partials, ["flag"], ["high_sum", "high_count"])
     return pd.DataFrame({
         "l_returnflag": out["flag"],
-        "high_line_count": out["high_count"].astype("int64"),
-        "low_line_count": out["low_count"].astype("int64"),
+        "high_line_count": out["high_sum"].astype("int64"),
+        "low_line_count": (out["high_count"] - out["high_sum"]).astype("int64"),
     }).sort_values("l_returnflag").reset_index(drop=True)
 
 
@@ -4195,34 +4185,25 @@ def q13_customer_distribution(sf_dir: str):
     where the customer stream left-merges the summed counts (both sides
     co-partitioned; no customer-cardinality broadcast) -> per-partition
     histogram partials -> tiny final groupby(c_count) on the driver."""
-    def o_part(df: pd.DataFrame) -> pd.DataFrame:
+    def o_side(df: pd.DataFrame) -> pa.Table:
         vc = df["o_custkey"].value_counts()
-        k = vc.index.to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(1),
-                             "n": vc.to_numpy(dtype=np.int64)})
+        return pa.table({"key": vc.index.to_numpy(), "n": vc.to_numpy()})
 
-    def c_part(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["c_custkey"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(0),
-                             "n": np.int64(0)})
+    def hist_partial(cust: pa.Table, orders: pa.Table) -> pa.Table:
+        cnt = orders.group_by("key").aggregate([("n", "sum")])
+        per_cust = cust.join(cnt, "key", join_type="left outer")["n_sum"]
+        return pa.table({"c_count": pc.fill_null(per_cust, 0)}).group_by("c_count").aggregate(
+            [("c_count", "count")])
 
-    def hist_partial(g: pd.DataFrame) -> pd.DataFrame:
-        cust = g.loc[g["side"] == 0, ["key"]]
-        if len(cust) == 0:
-            return pd.DataFrame({"c_count": np.array([], dtype=np.int64),
-                                 "custdist": np.array([], dtype=np.int64)})
-        cnt = g[g["side"] == 1].groupby("key", sort=False)["n"].sum()
-        per_cust = cust["key"].map(cnt).fillna(0).astype(np.int64)
-        vc = per_cust.value_counts()
-        return pd.DataFrame({"c_count": vc.index.to_numpy(dtype=np.int64),
-                             "custdist": vc.to_numpy(dtype=np.int64)})
-
-    orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(o_part, batch_format="pandas")
-    cust = _read(sf_dir, "customer", ["c_custkey"]).map_batches(c_part, batch_format="pandas")
-    partials = _exchange([cust, orders], "key", hist_partial).to_pandas()
-    out = partials.groupby("c_count", as_index=False)["custdist"].sum()
-    out["custdist"] = out["custdist"].astype("int64")
-    out["c_count"] = out["c_count"].astype("int64")
+    orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(o_side, batch_format="pandas")
+    cust = _read(sf_dir, "customer", ["c_custkey"]).rename_columns({"c_custkey": "key"})
+    partials = _exchange(
+        [(cust, pa.schema([("key", pa.int64())])),
+         (orders, pa.schema([("key", pa.int64()), ("n", pa.int64())]))],
+        "key", hist_partial)
+    out = _reduce_small(partials, ["c_count"], ["c_count_count"])
+    out = pd.DataFrame({"c_count": out["c_count"].astype("int64"),
+                        "custdist": out["c_count_count"].astype("int64")})
     return out.sort_values(["custdist", "c_count"], ascending=[False, False]).reset_index(drop=True)
 
 
@@ -4250,13 +4231,9 @@ def q17_small_quantity_revenue(sf_dir: str):
         k = df["l_partkey"].to_numpy(dtype=np.int64)
         q = np.floor(df["l_quantity"].to_numpy() + 0.5).astype(np.int64)  # half-away (= SQL round) on positive qty; np.rint is half-even
         cents = np.rint(df["l_extendedprice"].to_numpy() * 100).astype(np.int64)
-        return pd.DataFrame({"key": k, "side": np.int8(1), "qty": q,
-                             "cents": cents})
+        return pd.DataFrame({"key": k, "qty": q, "cents": cents})
 
-    def filtered_sum(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["side"] == 1]
-        if len(l) == 0:
-            return pd.DataFrame({"cents": pd.Series(dtype="int64")})
+    def filtered_sum(l: pd.DataFrame) -> pd.DataFrame:
         stats = l.groupby("key", sort=False)["qty"].agg(["sum", "count"])
         s = l["key"].map(stats["sum"]).to_numpy(dtype=np.int64)
         c = l["key"].map(stats["count"]).to_numpy(dtype=np.int64)
@@ -4304,46 +4281,28 @@ def q22_idle_customer_balance(sf_dir: str, min_total: float = 300000.0):
     tot = cust.map_batches(pos_partial, batch_format="pandas").sum(["s", "c"]) or {}
     s_cents, cnt = int(tot.get("sum(s)") or 0), int(tot.get("sum(c)") or 0)
 
-    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("seg", pa.string()),
-                       ("cents", pa.int64())])
-    per_seg = pa.schema([("seg", pa.string()), ("numcust", pa.int64()),
-                         ("cents", pa.int64())])
-
-    def c_part(df: pd.DataFrame) -> pa.Table:
+    def c_side(df: pd.DataFrame) -> pa.Table:
         cents = np.rint(df["c_acctbal"].to_numpy() * 100).astype(np.int64)
-        d = df[cents * cnt > s_cents]
-        k = d["c_custkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
-                                    "seg": d["c_mktsegment"].astype(str),
-                                    "cents": cents[cents * cnt > s_cents]}), sides)
+        keep = cents * cnt > s_cents
+        return pa.table({"key": df["c_custkey"].to_numpy()[keep],
+                         "seg": df["c_mktsegment"].to_numpy()[keep], "cents": cents[keep]})
 
-    def o_part(df: pd.DataFrame) -> pa.Table:
-        d = df[df["o_totalprice"] > min_total]
-        k = d["o_custkey"].drop_duplicates().to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(1), "seg": "",
-                                    "cents": np.int64(0)}), sides)
-
-    def anti(g: pd.DataFrame) -> pa.Table:
-        c = g[g["side"] == 0]
-        with_orders = set(g.loc[g["side"] == 1, "key"])
-        d = c[~c["key"].isin(with_orders)]
-        if len(d) == 0:
-            return per_seg.empty_table()
-        agg = d.groupby("seg", sort=False)["cents"].agg(["count", "sum"])
-        return _arrow(pd.DataFrame({"seg": agg.index.astype(str),
-                                    "numcust": agg["count"].to_numpy(dtype=np.int64),
-                                    "cents": agg["sum"].to_numpy(dtype=np.int64)}), per_seg)
+    def o_side(df: pd.DataFrame) -> pa.Table:
+        return pa.table({"key": df.loc[df["o_totalprice"] > min_total, "o_custkey"].unique()})
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
-        o_part, batch_format="pandas")
-    partials = _exchange([cust.map_batches(c_part, batch_format="pandas"), orders],
-                         "key", anti).to_pandas()
-    out = partials.groupby("seg", as_index=False)[["numcust", "cents"]].sum()
-    out["numcust"] = out["numcust"].astype("int64")
-    out["totacctbal"] = round_half_away(out["cents"].to_numpy(dtype=np.float64) / 100.0, 2)
-    return out.rename(columns={"seg": "c_mktsegment"})[
-        ["c_mktsegment", "numcust", "totacctbal"]
-    ].sort_values("c_mktsegment").reset_index(drop=True)
+        o_side, batch_format="pandas")
+    partials = _exchange(
+        [(cust.map_batches(c_side, batch_format="pandas"),
+          pa.schema([("key", pa.int64()), ("seg", pa.string()), ("cents", pa.int64())])),
+         (orders, pa.schema([("key", pa.int64())]))], "key",
+        lambda c, o: c.join(o, "key", join_type="left anti").group_by("seg").aggregate(
+            [("cents", "count"), ("cents", "sum")]))
+    out = _reduce_small(partials, ["seg"], ["cents_count", "cents_sum"])
+    out = pd.DataFrame({"c_mktsegment": out["seg"], "numcust": out["cents_count"].astype("int64"),
+                        "totacctbal": round_half_away(
+                            out["cents_sum"].to_numpy(dtype=np.float64) / 100.0, 2)})
+    return out.sort_values("c_mktsegment").reset_index(drop=True)
 
 
 Q22_SQL = """
@@ -4382,57 +4341,47 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_3",
     supp_nation = dict(zip(supp["s_suppkey"], supp["s_nationkey"].map(nname)))
     cust_nation = dict(zip(cust["c_custkey"], cust["c_nationkey"].map(nname)))
     pair = {nation_a, nation_b}
-    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("nat", pa.string()),
-                       ("year", pa.int64()), ("c4", pa.int64())])
-    volumes = pa.schema([("supp_nation", pa.string()), ("cust_nation", pa.string()),
-                         ("l_year", pa.int64()), ("c4", pa.int64())])
 
-    def l_part(df: pd.DataFrame) -> pa.Table:
+    def l_side(df: pd.DataFrame) -> pa.Table:
         sd = df["l_shipdate"].to_numpy()
         d = df[(sd >= lo) & (sd < hi)]
         sn = d["l_suppkey"].map(supp_nation)
         keep = sn.isin(pair).to_numpy()
         d, sn = d[keep], sn[keep]
-        k = d["l_orderkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({
-            "key": k, "side": np.int8(1), "nat": np.asarray(sn, dtype=str),
+        return pa.table({
+            "key": d["l_orderkey"].to_numpy(), "nat": np.asarray(sn, dtype=str),
             "year": d["l_shipdate"].dt.year.to_numpy(dtype=np.int64),
-            "c4": rev_c4(d["l_extendedprice"], d["l_discount"])}), sides)
+            "c4": rev_c4(d["l_extendedprice"], d["l_discount"])})
 
-    def o_part(df: pd.DataFrame) -> pa.Table:
+    def o_side(df: pd.DataFrame) -> pa.Table:
         cn = df["o_custkey"].map(cust_nation)
         keep = cn.isin(pair).to_numpy()
-        d, cn = df[keep], cn[keep]
-        k = d["o_orderkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({
-            "key": k, "side": np.int8(0), "nat": np.asarray(cn, dtype=str),
-            "year": np.int64(0), "c4": np.int64(0)}), sides)
+        return pa.table({"key": df["o_orderkey"].to_numpy()[keep],
+                         "nat": np.asarray(cn[keep], dtype=str)})
 
-    def vol(g: pd.DataFrame) -> pa.Table:
-        o, l = g[g["side"] == 0], g[g["side"] == 1]
-        if len(o) == 0 or len(l) == 0:
-            return volumes.empty_table()
-        m = l[["key", "nat", "year", "c4"]].merge(
-            o[["key", "nat"]], on="key", suffixes=("", "_c"))
-        m = m[m["nat"].to_numpy() != m["nat_c"].to_numpy()]  # cross pairs
-        agg = m.groupby(["nat", "nat_c", "year"], sort=False, as_index=False)["c4"].sum()
-        return _arrow(agg.rename(columns={"nat": "supp_nation", "nat_c": "cust_nation",
-                                          "year": "l_year"}), volumes)
+    def vol(o: pa.Table, l: pa.Table) -> pa.Table:
+        m = l.join(o, "key", right_suffix="_c")
+        m = m.filter(pc.not_equal(m["nat"], m["nat_c"]))  # cross pairs
+        return m.group_by(["nat", "nat_c", "year"]).aggregate([("c4", "sum")])
 
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_suppkey", "l_shipdate",
                    "l_extendedprice", "l_discount"]).map_batches(
-        l_part, batch_format="pandas")
+        l_side, batch_format="pandas")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-        o_part, batch_format="pandas")
-    partials = _exchange([orders, lines], "key", vol)
-    df = _reduce_small(partials, ["supp_nation", "cust_nation", "l_year"], ["c4"])
+        o_side, batch_format="pandas")
+    partials = _exchange(
+        [(orders, pa.schema([("key", pa.int64()), ("nat", pa.string())])),
+         (lines, pa.schema([("key", pa.int64()), ("nat", pa.string()), ("year", pa.int64()),
+                            ("c4", pa.int64())]))], "key", vol)
+    df = _reduce_small(partials, ["nat", "nat_c", "year"], ["c4_sum"]).rename(columns={
+        "nat": "supp_nation", "nat_c": "cust_nation", "year": "l_year"})
     if len(df) == 0:
         return pd.DataFrame({"supp_nation": pd.Series(dtype=str),
                              "cust_nation": pd.Series(dtype=str),
                              "l_year": pd.Series(dtype="int64"),
                              "revenue": pd.Series(dtype="float64")})
-    df["revenue"] = round_half_away(df.pop("c4").to_numpy(dtype=np.float64) / 10000.0, 2)
+    df["revenue"] = round_half_away(df.pop("c4_sum").to_numpy(dtype=np.float64) / 10000.0, 2)
     df["l_year"] = df["l_year"].astype("int64")
     return df.sort_values(["supp_nation", "cust_nation", "l_year"]).reset_index(drop=True)
 
@@ -4480,74 +4429,47 @@ def q8_market_share(sf_dir: str, region: str = "ASIA", ptype: str = "PROMO",
                                                        reg["r_name"])))))
     supp_nation = dict(zip(supp["s_suppkey"], supp["s_nationkey"].map(nname)))
     cust_nationkey = dict(zip(cust["c_custkey"], cust["c_nationkey"]))
-    part_sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("okey", pa.int64()),
-                            ("nat", pa.string()), ("c4", pa.int64())])
-    order_sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("nat", pa.string()),
-                             ("year", pa.int64()), ("c4", pa.int64())])
-    shares = pa.schema([("o_year", pa.int64()), ("nat", pa.string()), ("c4", pa.int64())])
+    survivor = pa.schema([("key", pa.int64()), ("nat", pa.string()), ("c4", pa.int64())])
 
     # ---- exchange 1: lineitem semi-join part (p_type filter) on partkey
-    def p_part(df: pd.DataFrame) -> pa.Table:
-        d = df[df["p_type"].to_numpy() == ptype]
-        k = d["p_partkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
-                                    "okey": np.int64(0),
-                                    "nat": np.full(len(k), "", dtype="U1"),
-                                    "c4": np.int64(0)}), part_sides)
+    def l_side(df: pd.DataFrame) -> pa.Table:
+        return pa.table({
+            "key": df["l_partkey"].to_numpy(), "okey": df["l_orderkey"].to_numpy(),
+            "nat": np.asarray(df["l_suppkey"].map(supp_nation), dtype=str),
+            "c4": rev_c4(df["l_extendedprice"], df["l_discount"])})
 
-    def l_part(df: pd.DataFrame) -> pa.Table:
-        k = df["l_partkey"].to_numpy(dtype=np.int64)
-        sn = df["l_suppkey"].map(supp_nation)
-        return _arrow(pd.DataFrame({
-            "key": k, "side": np.int8(1),
-            "okey": df["l_orderkey"].to_numpy(dtype=np.int64),
-            "nat": np.asarray(sn, dtype=str),
-            "c4": rev_c4(df["l_extendedprice"], df["l_discount"])}), part_sides)
-
-    def semi(g: pd.DataFrame) -> pa.Table:
-        lmask = g["side"].to_numpy() == 1
-        good = set(g.loc[~lmask, "key"])
-        l = g[lmask]
-        d = l[l["key"].isin(good)]
-        k = d["okey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(1),
-                                    "nat": np.asarray(d["nat"], dtype=str),
-                                    "year": np.int64(0),
-                                    "c4": d["c4"].to_numpy(dtype=np.int64)}), order_sides)
+    def semi(p: pa.Table, l: pa.Table) -> pa.Table:
+        d = l.join(p, "key", join_type="left semi")
+        return pa.table([d["okey"], d["nat"], d["c4"]], schema=survivor)
 
     # ---- exchange 2: surviving lines join orders (region + date) on orderkey
-    def o_part(df: pd.DataFrame) -> pa.Table:
+    def o_side(df: pd.DataFrame) -> pa.Table:
         od = df["o_orderdate"].to_numpy()
         d = df[(od >= lo) & (od < hi)]
-        nk = d["o_custkey"].map(cust_nationkey)
-        rg = nk.map(nregion)
+        rg = d["o_custkey"].map(cust_nationkey).map(nregion)
         d = d[(rg == region).to_numpy()]
-        k = d["o_orderkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
-                                    "nat": np.full(len(k), "", dtype="U1"),
-                                    "year": d["o_orderdate"].dt.year.to_numpy(dtype=np.int64),
-                                    "c4": np.int64(0)}), order_sides)
-
-    def join_year(g: pd.DataFrame) -> pa.Table:
-        o, l = g[g["side"] == 0], g[g["side"] == 1]
-        if len(o) == 0 or len(l) == 0:
-            return shares.empty_table()
-        m = l[["key", "nat", "c4"]].merge(o[["key", "year"]], on="key")
-        agg = m.groupby(["year", "nat"], sort=False, as_index=False)["c4"].sum()
-        return _arrow(agg.rename(columns={"year": "o_year"}), shares)
+        return pa.table({"key": d["o_orderkey"].to_numpy(),
+                         "year": d["o_orderdate"].dt.year.to_numpy(dtype=np.int64)})
 
     part_keys = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
-        p_part, batch_format="pandas")
+        lambda t: t.filter(pc.equal(t["p_type"], ptype)), batch_format="pyarrow"
+    ).rename_columns({"p_partkey": "key"})
     lines = _read(sf_dir, "lineitem",
                   ["l_orderkey", "l_partkey", "l_suppkey",
                    "l_extendedprice", "l_discount"]).map_batches(
-        l_part, batch_format="pandas")
-    survivors = _exchange([part_keys, lines], "key", semi)
+        l_side, batch_format="pandas")
+    survivors = _exchange(
+        [(part_keys, pa.schema([("key", pa.int64())])),
+         (lines, pa.schema([("key", pa.int64()), ("okey", pa.int64()), ("nat", pa.string()),
+                            ("c4", pa.int64())]))], "key", semi)
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        o_part, batch_format="pandas")
-    partials = _exchange([orders, survivors], "key", join_year)
-    df = _reduce_small(partials, ["o_year", "nat"], ["c4"])
+        o_side, batch_format="pandas")
+    partials = _exchange(
+        [(orders, pa.schema([("key", pa.int64()), ("year", pa.int64())])), (survivors, survivor)],
+        "key", lambda o, l: l.join(o, "key").group_by(["year", "nat"]).aggregate([("c4", "sum")]))
+    df = _reduce_small(partials, ["year", "nat"], ["c4_sum"]).rename(
+        columns={"year": "o_year", "c4_sum": "c4"})
     if len(df) == 0:
         return pd.DataFrame({"o_year": pd.Series(dtype="int64"),
                              "mkt_share": pd.Series(dtype="float64")})
@@ -4650,54 +4572,40 @@ def q19_disjunctive_revenue(sf_dir: str):
     single int-c4 scalar leaves each partition."""
     qty_lo = min(b[3] for b in _Q19_BRANCHES)
     qty_hi = max(b[4] for b in _Q19_BRANCHES)
-    brands = {b[0] for b in _Q19_BRANCHES}
-    sides = pa.schema([("key", pa.int64()), ("side", pa.int8()), ("brand", pa.string()),
-                       ("size", pa.int64()), ("qty", pa.int64()), ("c4", pa.int64())])
 
-    def p_part(df: pd.DataFrame) -> pa.Table:
+    def p_side(df: pd.DataFrame) -> pa.Table:
         sz = df["p_size"].to_numpy(dtype=np.int64)
         keep = np.zeros(len(df), dtype=bool)
         br = df["p_brand"].to_numpy()
         for b, slo, shi, _, _ in _Q19_BRANCHES:
             keep |= (br == b) & (sz >= slo) & (sz <= shi)
-        d = df[keep]
-        k = d["p_partkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(0),
-                                    "brand": np.asarray(d["p_brand"], dtype=str),
-                                    "size": d["p_size"].to_numpy(dtype=np.int64),
-                                    "qty": np.int64(0), "c4": np.int64(0)}), sides)
+        return pa.table({"key": df["p_partkey"].to_numpy()[keep], "brand": br[keep],
+                         "size": sz[keep]})
 
-    def l_part(df: pd.DataFrame) -> pa.Table:
+    def l_side(df: pd.DataFrame) -> pa.Table:
         q = np.floor(df["l_quantity"].to_numpy() + 0.5).astype(np.int64)  # half-away (= SQL round) on positive qty; np.rint is half-even
         m = (q >= qty_lo) & (q <= qty_hi)
         d = df[m]
-        k = d["l_partkey"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({"key": k, "side": np.int8(1),
-                                    "brand": np.full(len(d), "", dtype="U1"),
-                                    "size": np.int64(0), "qty": q[m],
-                                    "c4": rev_c4(d["l_extendedprice"], d["l_discount"])}),
-                      sides)
+        return pa.table({"key": d["l_partkey"].to_numpy(), "qty": q[m],
+                         "c4": rev_c4(d["l_extendedprice"], d["l_discount"])})
 
-    def branch_sum(g: pd.DataFrame) -> pd.DataFrame:
-        p, l = g[g["side"] == 0], g[g["side"] == 1]
-        if len(p) == 0 or len(l) == 0:
-            return pd.DataFrame({"c4": pd.Series(dtype="int64")})
-        m = l[["key", "qty", "c4"]].merge(
-            p[["key", "brand", "size"]], on="key")
-        br = m["brand"].to_numpy()
-        sz = m["size"].to_numpy()
-        q = m["qty"].to_numpy()
+    def branch_sum(p: pa.Table, l: pa.Table) -> pa.Table:
+        m = l.join(p, "key")
+        br, sz, q = (m[c].to_numpy() for c in ("brand", "size", "qty"))
         keep = np.zeros(len(m), dtype=bool)
         for b, slo, shi, qlo, qhi in _Q19_BRANCHES:
             keep |= (br == b) & (sz >= slo) & (sz <= shi) & (q >= qlo) & (q <= qhi)
-        return pd.DataFrame({"c4": [int(m["c4"].to_numpy()[keep].sum())]})
+        return pa.table({"c4": [int(m["c4"].to_numpy()[keep].sum())]})
 
     parts = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
-        p_part, batch_format="pandas")
+        p_side, batch_format="pandas")
     lines = _read(sf_dir, "lineitem",
                   ["l_partkey", "l_quantity", "l_extendedprice",
-                   "l_discount"]).map_batches(l_part, batch_format="pandas")
-    total = _exchange([parts, lines], "key", branch_sum).sum("c4") or 0
+                   "l_discount"]).map_batches(l_side, batch_format="pandas")
+    total = _exchange(
+        [(parts, pa.schema([("key", pa.int64()), ("brand", pa.string()), ("size", pa.int64())])),
+         (lines, pa.schema([("key", pa.int64()), ("qty", pa.int64()), ("c4", pa.int64())]))],
+        "key", branch_sum).sum("c4") or 0
     return pd.DataFrame({"revenue": [round_half_away(float(total) / 10000.0, 2)]})
 
 

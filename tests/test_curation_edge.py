@@ -256,7 +256,9 @@ def test_partition_ids_are_stable_hashes_in_range():
     "dup_ngram_spans", "ngram_jaccard_dup_pairs", "source_overlap_matrix",
     "events_window_distinct_users", "events_asof_join", "q4_order_priority",
     "q13_customer_distribution", "q3_top_orders", "q10_returned_revenue",
-    "orders_per_customer_topk", "word_topk", "q15_top_supplier",
+    "orders_per_customer_topk", "word_topk", "q15_top_supplier", "q5_nation_revenue",
+    "q12_priority_by_returnflag", "q17_small_quantity_revenue", "q22_idle_customer_balance",
+    "q7_nation_volume", "q8_market_share", "q19_disjunctive_revenue",
 ])
 def test_exchange_partition_count_invariant(monkeypatch, name):
     """The coarse partition count is internal: 7 and 64 partitions must
@@ -271,6 +273,37 @@ def test_exchange_partition_count_invariant(monkeypatch, name):
     a, b = run(7), run(64)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_exchange_hands_each_join_side_its_own_table(monkeypatch):
+    """`_exchange` over a join's sides calls `fn` with one table per side,
+    of that side's schema: a partition that holds only left rows gets a
+    zero-row right table (the left-outer and anti joins of q13 and q22),
+    and a column named on both sides reaches each side unchanged."""
+    import ray.data
+
+    from oar_ocr_ray import queries
+
+    monkeypatch.setattr(queries, "_n_parts", lambda: 4)
+    left_s = pa.schema([("key", pa.int64()), ("date", pa.string())])
+    right_s = pa.schema([("key", pa.int64()), ("date", pa.int64())])
+    # keys 0 and 4 fall in partition 0 (left rows only), 1 and 5 in partition 1
+    left = ray.data.from_arrow(pa.table({"key": [0, 1, 4, 5], "date": ["a", "b", "c", "d"]},
+                                        schema=left_s))
+    right = ray.data.from_arrow(pa.table({"key": [5, 1], "date": [50, 10]}, schema=right_s))
+
+    def fn(l, r):
+        return pa.table({"left": [str(l.sort_by("key").to_pylist())],
+                         "right": [str(r.sort_by("key").to_pylist())],
+                         "schemas_kept": [l.schema.equals(left_s) and r.schema.equals(right_s)]})
+
+    got = queries._exchange([(left, left_s), (right, right_s)], "key", fn).to_pandas()
+    assert sorted(zip(got["left"], got["right"], got["schemas_kept"])) == [
+        (str([{"key": 0, "date": "a"}, {"key": 4, "date": "c"}]), "[]", True),
+        (str([{"key": 1, "date": "b"}, {"key": 5, "date": "d"}]),
+         str([{"key": 1, "date": 10}, {"key": 5, "date": 50}]), True),
+    ]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -175,12 +175,11 @@ def test_lowest_vec_ids_cuts_off_a_shuffled_table(tmp_path):
 
 
 @pytest.mark.parametrize("name", [
-    "q5_nation_revenue", "ann_topk", "ann_lsh_topk", "embedding_near_dup_lsh",
-    "ann_ivf_topk", "ann_pq_topk"])
+    "ann_topk", "ann_lsh_topk", "embedding_near_dup_lsh", "ann_ivf_topk", "ann_pq_topk"])
 def test_pool_queries_refuse_small_clusters(monkeypatch, name):
-    """A query whose actor pool or hash join would hold every CPU of a
-    cluster below MIN_CLUSTER_CPUS raises an error naming it, before any
-    Ray work starts, instead of hanging."""
+    """A query whose actor pool would hold every CPU of a cluster below
+    MIN_CLUSTER_CPUS raises an error naming it, before any Ray work
+    starts, instead of hanging."""
     import ray
 
     from oar_ocr_ray import queries
