@@ -19,6 +19,9 @@ Reimplements (semantics, not code) the reference's:
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 DEFAULT_LIMIT_SIDE_LEN = 736
@@ -29,31 +32,65 @@ IMAGENET_MEAN = np.array([0.485, 0.456, 0.406], dtype=np.float32)
 IMAGENET_STD = np.array([0.229, 0.224, 0.225], dtype=np.float32)
 
 
+# a media_seams pass meets about 200 distinct (n, out_n) pairs; an entry
+# holds 32 bytes per output sample, so a rec geometry is a few KB
+@functools.lru_cache(maxsize=256)
+def _axis_samples(n: int, out_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-pixel-centre bilinear samples along one axis of length n
+    resized to out_n, both neighbours stacked: the source indices
+    [i0 | i1] and their weights [1 - f | f]. Read-only, since they are
+    shared between calls."""
+    s = (np.arange(out_n) + 0.5) * n / out_n - 0.5
+    i0 = np.clip(np.floor(s).astype(np.int64), 0, n - 1)
+    f = np.clip(s - i0, 0, 1)
+    idx = np.concatenate([i0, np.minimum(i0 + 1, n - 1)])
+    wts = np.concatenate([1 - f, f])
+    idx.flags.writeable = wts.flags.writeable = False
+    return idx, wts
+
+
+def _resize_gray_into(img: np.ndarray, out: np.ndarray) -> None:
+    """Bilinear resample of a (h, w) uint8 image into the (out_h, out_w)
+    uint8 view `out`; either may have any strides. Each output pixel is
+    ((A(1-fy))(1-fx) + (B(1-fy))fx) + (C fy)(1-fx) + (D fy)fx in float64,
+    with A, B the (x0, x1) samples of source row y0 and C, D those of row
+    y1. The y weights go onto the gathered source rows, and the rest runs
+    transposed, (out_w, out_h), so that the x gathers copy whole rows. A
+    convex blend of 0..255 rounds into 0..255, so the result needs no
+    clip."""
+    h, w = img.shape
+    out_h, out_w = out.shape
+    if (h, w) == (out_h, out_w):
+        out[...] = img
+        return
+    ys, wy = _axis_samples(h, out_h)
+    xs, wx = _axis_samples(w, out_w)
+    wx = wx[:, None]
+    rows = np.multiply(img[ys].T, wy)  # (w, 2 out_h): [row y0 (1-fy) | row y1 fy]
+    terms = rows[:, :out_h].take(xs, axis=0)  # (2 out_w, out_h): A, B rows
+    terms *= wx
+    acc = np.add(terms[:out_w], terms[out_w:])
+    rows[:, out_h:].take(xs, axis=0, out=terms, mode="clip")  # C, D rows
+    terms *= wx
+    acc += terms[:out_w]
+    acc += terms[out_w:]
+    np.rint(acc, out=out.T, casting="unsafe")
+
+
+def _resize_into(img: np.ndarray, out: np.ndarray) -> None:
+    """_resize_gray_into per channel of an (H,W[,C]) image."""
+    if img.ndim == 2:
+        _resize_gray_into(img, out)
+    else:
+        for c in range(img.shape[2]):
+            _resize_gray_into(img[..., c], out[..., c])
+
+
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Deterministic bilinear resample, (H,W[,C]) uint8 -> (out_h,out_w[,C])."""
-    h, w = img.shape[:2]
-    if (h, w) == (out_h, out_w):
-        return img.copy()
-    gray = img.ndim == 2
-    src = img[..., None] if gray else img
-    ys = (np.arange(out_h) + 0.5) * h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = np.clip(ys - y0, 0, 1)[:, None, None]
-    fx = np.clip(xs - x0, 0, 1)[None, :, None]
-    f = src.astype(np.float64)
-    a, b = f[y0], f[y1]  # row gathers cached; terms unchanged (bit-identical)
-    out = (
-        a[:, x0] * (1 - fy) * (1 - fx)
-        + a[:, x1] * (1 - fy) * fx
-        + b[:, x0] * fy * (1 - fx)
-        + b[:, x1] * fy * fx
-    )
-    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out[..., 0] if gray else out
+    out = np.empty((out_h, out_w) + img.shape[2:], dtype=np.uint8)
+    _resize_into(img, out)
+    return out
 
 
 def pad_to_min_size(img: np.ndarray, min_side: int = 32) -> np.ndarray:
@@ -100,26 +137,36 @@ def det_resize(
     return out, (rh / h, rw / w)
 
 
+def rec_tensor_width(target_h: int, max_wh_ratio: float,
+                     max_img_w: int = DEFAULT_MAX_IMG_W) -> int:
+    """The recognition tensor width: target_h * max_wh_ratio, rounded up
+    and capped at max_img_w."""
+    return min(math.ceil(target_h * max_wh_ratio), max_img_w)
+
+
 def ocr_resize_and_pad(
     img: np.ndarray,
     target_h: int = DEFAULT_REC_SHAPE[1],
     max_img_w: int = DEFAULT_MAX_IMG_W,
     max_wh_ratio: float | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Recognition resize: height -> target_h keeping aspect; batch tensor
     width = target_h * max_wh_ratio (capped at max_img_w); image right-padded
-    with zeros to that width. Returns (padded, actual_content_width)."""
+    with zeros to that width. `out`, if given, is a ZEROED
+    (target_h, tensor width[, C]) uint8 row (of a batch buffer) that
+    the resize is written into. Returns (padded, actual_content_width)."""
     h, w = img.shape[:2]
     if max_wh_ratio is None:
         max_wh_ratio = DEFAULT_REC_SHAPE[2] / DEFAULT_REC_SHAPE[1]
-    tensor_w = min(int(np.ceil(target_h * max_wh_ratio)), max_img_w)
-    ratio = w / max(h, 1)
-    actual_w = min(int(np.ceil(target_h * ratio)), tensor_w)
-    actual_w = max(actual_w, 1)
-    resized = resize_bilinear(img, target_h, actual_w)
+    tensor_w = rec_tensor_width(target_h, max_wh_ratio, max_img_w)
+    actual_w = max(min(math.ceil(target_h * (w / max(h, 1))), tensor_w), 1)
     out_shape = (target_h, tensor_w) + img.shape[2:]
-    out = np.zeros(out_shape, dtype=img.dtype)
-    out[:, :actual_w] = resized
+    if out is None:
+        out = np.zeros(out_shape, dtype=np.uint8)
+    elif out.shape != out_shape or out.dtype != np.uint8:
+        raise ValueError(f"out must be {out_shape} uint8, got {out.shape} {out.dtype}")
+    _resize_into(img, out[:, :actual_w])
     return out, actual_w
 
 
@@ -151,19 +198,20 @@ def gray_batch_tensor(
 ) -> np.ndarray:
     """Fused `to_batch([normalize_image(g) for g in imgs])` for
     EQUAL-SHAPE GRAYSCALE images: one (B, 3, H, W) float32 allocation,
-    the x*scale -> (x - mean[c]) / std[c] chain applied channel-broadcast.
-    Bit-identical to the per-image path (same float32 elementwise ops in
-    the same order) with ~3x less float work and no per-image channel
-    repeat / transpose / contiguous copy — the hot preprocess of the det
-    and rec session seams (profiled: normalize was ~25% of the tensor
-    wall)."""
+    the x*scale -> (x - mean[c]) / std[c] chain applied channel-broadcast
+    in place. Bit-identical to the per-image path (same float32
+    elementwise ops in the same order) with ~3x less float work and no
+    per-image channel repeat / transpose / contiguous copy, nor any
+    temporary per channel."""
     arr = np.asarray(imgs) if not isinstance(imgs, np.ndarray) else imgs
     if arr.ndim != 3:
         raise ValueError(f"expected (B, H, W) grayscale stack, got {arr.shape}")
-    g = arr.astype(np.float32) * np.float32(scale)
     out = np.empty((arr.shape[0], 3) + arr.shape[1:], dtype=np.float32)
-    for c in range(3):
-        out[:, c] = (g - mean[c]) / std[c]
+    g = out[:, 0]
+    np.multiply(arr, np.float32(scale), out=g, dtype=np.float32)
+    for c in (2, 1, 0):  # channel 0 holds x*scale until last
+        np.subtract(g, mean[c], out=out[:, c])
+        np.divide(out[:, c], std[c], out=out[:, c])
     return out
 
 

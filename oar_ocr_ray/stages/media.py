@@ -341,17 +341,16 @@ class SharedMediaStore:
         return self._tables[b]["png"][i].as_py() if i is not None else None
 
 
-def session_tensor(imgs: list[np.ndarray]) -> np.ndarray:
-    """The normalized (B, 3, H, W) float32 tensor a model session takes:
-    equal-shape grayscale images through the fused gray_batch_tensor
+def session_tensor(img: np.ndarray) -> np.ndarray:
+    """The normalized (1, 3, H, W) float32 tensor a model session takes
+    for one image: a grayscale image through the fused gray_batch_tensor
     (bit-identical to the general chain, one allocation), anything else
     through normalize_image -> to_batch."""
     from ..preprocess import gray_batch_tensor, normalize_image, to_batch
 
-    if all(a.ndim == 2 for a in imgs):
-        # a lone page is a view, not a copy
-        return gray_batch_tensor(imgs[0][None] if len(imgs) == 1 else np.stack(imgs))
-    return to_batch([normalize_image(a) for a in imgs])
+    if img.ndim == 2:
+        return gray_batch_tensor(img[None])
+    return to_batch([normalize_image(img)])
 
 
 class ModelBoundary:
@@ -372,7 +371,7 @@ class ModelBoundary:
 
     def infer(self, img: np.ndarray):
         """The session's output for one image, batch axis dropped."""
-        return self.session(session_tensor([img]))[0]
+        return self.session(session_tensor(img))[0]
 
     def infer_box(self, img: np.ndarray, box, prep=None):
         """`infer` over img's crop inside `box` (clipped at the page
@@ -851,9 +850,12 @@ class Recognize:
     emitted in detection-box coordinates as a `word_boxes` list column.
 
     model_input=True routes every crop through the REAL model-boundary
-    preprocess chain (crnn.rs:61-118): ocr_resize_and_pad to the batch
-    max_wh_ratio tensor width -> normalize_image -> to_batch, then feeds
-    the (B, 3, 48, W) float32 tensor (height from the reference's rec
+    preprocess chain (crnn.rs:61-118, OCRResize -> NormalizeImage ->
+    ToBatch) built in place: ocr_resize_and_pad resizes each crop of a
+    sub-batch straight into its row of one zeroed (B, 48, W) uint8
+    buffer, W the sub-batch max_wh_ratio tensor width, and
+    gray_batch_tensor normalizes that buffer once, then feeds the
+    (B, 3, 48, W) float32 tensor (height from the reference's rec
     image shape, preprocess.DEFAULT_REC_SHAPE) to `rec_session`
     (constructor arg; a production build passes an onnxruntime wrapper,
     default is the tensor-decoding StubCtcSession). Items the session
@@ -943,14 +945,19 @@ class Recognize:
         return float(np.float32(arr.shape[1] / max(arr.shape[0], 1)))
 
     def _session_logits(self, arrs: list[np.ndarray], max_wh: float) -> list[np.ndarray]:
-        """Preprocess chain + one session call over a list of crops;
-        returns per-item (T_i, C) logits (uniform (B, T, C) ndarrays from
-        real sessions are split into rows)."""
-        from ..preprocess import ocr_resize_and_pad
+        """Preprocess chain + one session call over a list of grayscale
+        crops (any strides): each is resized straight into its row of ONE
+        zeroed (B, 48, W) uint8 buffer, which is normalized once into the
+        session tensor. Returns per-item (T_i, C) logits (uniform (B, T, C)
+        ndarrays from real sessions are split into rows)."""
+        from .. import preprocess
 
-        logits = self.rec_session(session_tensor([
-            ocr_resize_and_pad(a, max_wh_ratio=max_wh)[0]
-            for a in arrs]))
+        target_h = preprocess.DEFAULT_REC_SHAPE[1]
+        buf = np.zeros((len(arrs), target_h, preprocess.rec_tensor_width(target_h, max_wh)),
+                       dtype=np.uint8)
+        for a, row in zip(arrs, buf):
+            preprocess.ocr_resize_and_pad(a, target_h, max_wh_ratio=max_wh, out=row)
+        logits = self.rec_session(preprocess.gray_batch_tensor(buf))
         if isinstance(logits, np.ndarray):
             logits = [logits[i] for i in range(logits.shape[0])]
         return logits
@@ -983,7 +990,7 @@ class Recognize:
         for width, grp in retry.items():
             for c0 in range(0, len(grp), batch):
                 chunk = grp[c0:c0 + batch]
-                flipped = [np.ascontiguousarray(np.rot90(arrs[i], 2)) for i in chunk]
+                flipped = [np.rot90(arrs[i], 2) for i in chunk]
                 for i, lg in zip(chunk, self._session_logits(flipped, width)):
                     decoded = ctc_greedy_decode(lg)
                     if decoded[0]:

@@ -117,10 +117,11 @@ def read_crop_text(crop: np.ndarray) -> str:
     Scale-aware: the same decoder reads (a) scale-1 content — raw
     detection crops, visualization patches (possibly inset a pixel by the
     outline, possibly with arbitrary trailing FILL inside a wider box) —
-    and (b) the recognition model-input tensor after ocr_resize_and_pad,
-    upscaled by >= 2.5 (target_h 48 over line heights <= 14 gives >= 3.4;
-    right zero-padding is exactly 0 while every in-contract pixel is
-    >= 1, so the content width is measurable). The two cases are
+    and (b) a row of the recognition model-input tensor, resized and
+    right-padded by ocr_resize_and_pad, upscaled by >= 2.5 (target_h 48
+    over line heights <= 14 gives >= 3.4; right zero-padding is exactly
+    0 while every in-contract pixel is >= 1, so the content width is
+    measurable). The two cases are
     disambiguated by the len cell's leading run: at scale s the run of
     exactly-n columns spans ~2.5s..3s+1 px (cells are CELL_W=3 wide and
     n <= 31 < 32 <= ord(char), so the run can't bleed into a char cell).
@@ -541,7 +542,9 @@ class StubCtcSession:
     """Deterministic stand-in for the CRNN/SVTR onnxruntime session at the
     recognition model boundary (reference crnn.rs:61-118): consumes the
     SAME (B, 3, 48, W) float32 normalized tensor a real session would —
-    built by ocr_resize_and_pad -> normalize_image -> to_batch — and
+    each crop resized into its row of one uint8 buffer by
+    ocr_resize_and_pad, the buffer normalized once by gray_batch_tensor
+    (Recognize._session_logits) — and
     returns CTC logits. A production build replaces this object with a
     real session wrapper taking the identical tensor; nothing upstream
     changes (the point of the model_input wiring).

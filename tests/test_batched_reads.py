@@ -92,18 +92,11 @@ def test_linereader_read_single_consistent_with_many():
     assert [reader.read(c) for c in crops] == want
 
 
-def test_recognize_flipped_retries_batched_per_width():
-    """Flagship Recognize: with rec_session_batch=4, 8 upright + 4
-    flipped same-geometry crops cost 3 first-pass forwards (wh-sorted
-    sub-batches) plus ONE retry forward for the whole flipped group —
-    the retry set shares its first-pass tensor width."""
-    from oar_ocr_ray.stages.media import BBOX_FIELDS, CROP_FIELDS, Recognize
+def _recognize_input(crops) -> pa.Table:
+    """A Recognize input block: one crop row per array, its det box the
+    whole crop."""
+    from oar_ocr_ray.stages.media import BBOX_FIELDS, CROP_FIELDS
 
-    texts = [f"Row {i:02d} text" for i in range(12)]  # equal-length -> one wh ratio
-    crops = [text_patch(t, 10) for t in texts]  # same bh -> same geometry
-    flip_idx = (2, 5, 7, 10)
-    for i in flip_idx:
-        crops[i] = np.ascontiguousarray(np.rot90(crops[i], 2))
     cols = {"doc_id": pa.array(["d"] * len(crops), pa.string()),
             "text": pa.array([""] * len(crops), pa.string())}
     for (name, typ), vals in zip(
@@ -121,14 +114,55 @@ def test_recognize_flipped_retries_batched_per_width():
          [float(c.shape[0]) for c in crops]],
     ):
         cols[name] = pa.array(vals, typ)
+    return pa.table(cols)
+
+
+def test_recognize_flipped_retries_batched_per_width():
+    """Flagship Recognize: with rec_session_batch=4, 8 upright + 4
+    flipped same-geometry crops cost 3 first-pass forwards (wh-sorted
+    sub-batches) plus ONE retry forward for the whole flipped group —
+    the retry set shares its first-pass tensor width."""
+    from oar_ocr_ray.stages.media import Recognize
+
+    texts = [f"Row {i:02d} text" for i in range(12)]  # equal-length -> one wh ratio
+    crops = [text_patch(t, 10) for t in texts]  # same bh -> same geometry
+    flip_idx = (2, 5, 7, 10)
+    for i in flip_idx:
+        crops[i] = np.ascontiguousarray(np.rot90(crops[i], 2))
     spy = CountingCtcSession()
     out = Recognize(model_input=True, rec_session=spy,
-                    rec_session_batch=4)(pa.table(cols)).to_pydict()
+                    rec_session_batch=4)(_recognize_input(crops)).to_pydict()
     assert out["text"] == texts
     # identical texts -> identical wh ratios -> every sub-batch (and the
     # whole retry group) shares one tensor width: 3 first-pass forwards
     # of 4, then exactly ONE retry forward carrying all 4 flipped crops
     assert spy.batch_sizes == [4, 4, 4, 4]
+
+
+def test_recognize_preprocess_runs_through_traced_functions(monkeypatch):
+    """perfbench's rec.preprocess_s times `preprocess.ocr_resize_and_pad`
+    and `preprocess.gray_batch_tensor`, patched on the module. One
+    Recognize call over N crops with k flipped retries must resize
+    through the former N + k times and build every session tensor
+    through the latter, once per session call, so that no preprocess
+    work moves out of the timed spans into recognize.self_s."""
+    from oar_ocr_ray import preprocess
+    from oar_ocr_ray.stages.media import Recognize
+
+    calls = {"ocr_resize_and_pad": 0, "gray_batch_tensor": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(preprocess, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(preprocess, name, counted)
+    crops, want = _line_crops(11, seed=5, flip_idx=(1, 4, 8))
+    spy = CountingCtcSession()
+    out = Recognize(model_input=True, rec_session=spy,
+                    rec_session_batch=4)(_recognize_input(crops)).to_pydict()
+    assert out["text"] == want
+    assert calls["ocr_resize_and_pad"] == 11 + 3
+    assert sum(spy.batch_sizes) == 11 + 3
+    assert calls["gray_batch_tensor"] == len(spy.batch_sizes)
 
 
 @pytest.fixture(scope="module")

@@ -19,20 +19,28 @@ def corpus(tmp_path_factory):
     return write_structure_corpus(str(out), n_pages=60, seed=7)
 
 
-def test_structure_pipeline_matches_golden(ray_session, corpus):
+def _run_structure(corpus, **kw):
+    """StructureExtract over the corpus pages in batches of 16. The refs
+    manifest is read without its schema metadata (its `n_buckets` is for
+    the sharded runner): Ray cannot hash a schema that carries it when it
+    concatenates blocks into a batch, and logs so once per batch."""
+    import pyarrow as pa
     import ray.data
 
     from oar_ocr_ray.stages.structure_stage import StructureExtract
 
-    ds = ray.data.read_parquet(corpus["refs_path"])
-    out = ds.map_batches(
-        StructureExtract, fn_constructor_kwargs={"media_dir": corpus["media_dir"]},
+    ds = ray.data.read_parquet(corpus["refs_path"], columns=["media_ref"],
+                               schema=pa.schema([("media_ref", pa.string())]))
+    return ds.map_batches(
+        StructureExtract,
+        fn_constructor_kwargs={"media_dir": corpus["media_dir"], **kw},
         batch_format="pyarrow", batch_size=16, concurrency=2,
     ).to_pandas().sort_values("media_ref").reset_index(drop=True)
 
+
+def _assert_golden(out, corpus):
     golden = pq.read_table(corpus["golden_path"]).to_pandas().sort_values(
         "media_ref").reset_index(drop=True)
-
     assert len(out) == len(golden) == corpus["n_pages"]
     pd.testing.assert_series_equal(out["media_ref"], golden["media_ref"])
     for col in ("n_elements", "labels", "markdown", "html"):
@@ -43,6 +51,10 @@ def test_structure_pipeline_matches_golden(ray_session, corpus):
                 f"{col} mismatch on {out['media_ref'][i]}:\n"
                 f"pipeline: {out[col][i]!r}\ngolden:   {golden[col][i]!r}"
             )
+
+
+def test_structure_pipeline_matches_golden(ray_session, corpus):
+    _assert_golden(_run_structure(corpus), corpus)
 
 
 def test_structure_pages_cover_label_variety(corpus):
@@ -178,55 +190,7 @@ def test_structure_tensor_rec_path_matches_golden(ray_session, corpus):
     boundary — preprocess chain -> StubCtcSession -> real CTC decode with
     the 0/180 retry — via the shared LineReader. Same golden, skewed
     lines included: the rec stack is one stack across both pipelines."""
-    import ray.data
-
-    from oar_ocr_ray.stages.structure_stage import StructureExtract
-
-    ds = ray.data.read_parquet(corpus["refs_path"])
-    out = ds.map_batches(
-        StructureExtract,
-        fn_constructor_kwargs={"media_dir": corpus["media_dir"],
-                               "rec_model_input": True},
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas().sort_values("media_ref").reset_index(drop=True)
-    golden = pq.read_table(corpus["golden_path"]).to_pandas().sort_values(
-        "media_ref").reset_index(drop=True)
-    assert len(out) == len(golden) == corpus["n_pages"]
-    for col in ("n_elements", "labels", "markdown", "html"):
-        mism = out[col].to_numpy() != golden[col].to_numpy()
-        if mism.any():
-            i = int(np.flatnonzero(mism)[0])
-            raise AssertionError(
-                f"{col} mismatch on {out['media_ref'][i]}:\n"
-                f"pipeline: {out[col][i]!r}\ngolden:   {golden[col][i]!r}"
-            )
-
-
-def _run_structure(corpus, **kw):
-    import ray.data
-
-    from oar_ocr_ray.stages.structure_stage import StructureExtract
-
-    ds = ray.data.read_parquet(corpus["refs_path"])
-    return ds.map_batches(
-        StructureExtract,
-        fn_constructor_kwargs={"media_dir": corpus["media_dir"], **kw},
-        batch_format="pyarrow", batch_size=16, concurrency=2,
-    ).to_pandas().sort_values("media_ref").reset_index(drop=True)
-
-
-def _assert_golden(out, corpus):
-    golden = pq.read_table(corpus["golden_path"]).to_pandas().sort_values(
-        "media_ref").reset_index(drop=True)
-    assert len(out) == len(golden) == corpus["n_pages"]
-    for col in ("n_elements", "labels", "markdown", "html"):
-        mism = out[col].to_numpy() != golden[col].to_numpy()
-        if mism.any():
-            i = int(np.flatnonzero(mism)[0])
-            raise AssertionError(
-                f"{col} mismatch on {out['media_ref'][i]}:\n"
-                f"pipeline: {out[col][i]!r}\ngolden:   {golden[col][i]!r}"
-            )
+    _assert_golden(_run_structure(corpus, rec_model_input=True), corpus)
 
 
 def test_structure_det_seam_matches_golden(ray_session, corpus):
